@@ -49,9 +49,9 @@ void sweep(const core::KibamRmModel& model, const std::vector<double>& deltas,
 int main(int argc, char** argv) {
   common::CliArgs args(argc, argv);
   args.declare("csv").declare("full").declare("engine").declare("json")
-      .declare("threads").declare("no-fuse").declare("no-detect")
-      .declare("kernels").declare("reorder").declare("tile-mb")
-      .declare("spill-dir").declare("shards");
+      .declare("threads").declare("no-detect").declare("kernels")
+      .declare("reorder").declare("tile-mb").declare("spill-dir")
+      .declare("shards");
   args.validate();
   bench::apply_kernel_choice(args);
   const std::string engine =

@@ -9,8 +9,6 @@
 //   --engine NAME   transient engine (where the bench solves chains)
 //   --threads N     engine/batch execution lanes (0/absent = auto-detect)
 //   --batch         solve all configurations through engine::ScenarioBatch
-//   --no-fuse       run the pre-fusion baseline uniformisation loop (the
-//                   measured reference of the CI fused-speedup gate)
 //   --no-detect     disable steady-state early termination
 //   --tile-mb N     streamed tile size in MB for --engine ooc (default 8)
 //   --spill-dir P   directory for the ooc engine's tile spill file
@@ -18,13 +16,11 @@
 //   --shards N      worker processes for --engine sharded (default 1;
 //                   each worker additionally runs --threads lanes, so
 //                   shards x threads composes)
-//   --kernels T     pin the vector-kernel tier:
-//                   scalar | avx2 | avx512 | mixed | auto
-//                   (default auto = CPUID; the double tiers are bitwise
-//                   identical, mixed trades float32 operand rounding for
-//                   throughput; the pin is for measurement and for
-//                   sanitizer runs.  An unavailable SIMD tier falls back
-//                   to the best supported one with a stderr note.)
+//   --kernels T     pin the vector-kernel tier: scalar | avx2 | avx512 | auto
+//                   (default auto = CPUID; the tiers are bitwise identical,
+//                   the pin is for measurement and for sanitizer runs.  An
+//                   unavailable SIMD tier falls back to the best supported
+//                   one with a stderr note.)
 //   --reorder R     state ordering of the expanded chain:
 //                   none | level | rcm (default none; level packs the
 //                   charge-major runs the SIMD gather tiers vectorise
@@ -58,7 +54,7 @@ namespace kibamrm::bench {
 /// The --kernels choice, validated; "auto" when absent.
 inline std::string kernel_choice(const common::CliArgs& args) {
   return args.get_choice("kernels", "auto",
-                         {"auto", "scalar", "avx2", "avx512", "mixed"});
+                         {"auto", "scalar", "avx2", "avx512"});
 }
 
 /// The --reorder choice, validated; "none" when absent.
@@ -201,27 +197,14 @@ inline std::size_t resolved_thread_count(const std::string& engine,
                         : requested;
 }
 
-/// Engine-tuning flags shared by every solver driver: --no-fuse selects
-/// the pre-fusion baseline loop, --no-detect disables steady-state early
-/// termination (uniformisation engines; other engines ignore both),
-/// --tile-mb N and --spill-dir PATH size and place the "ooc" engine's
-/// streamed tile store (other engines ignore them).
-inline void apply_engine_tuning(const common::CliArgs& args,
-                                core::ApproximationOptions& options) {
-  options.fused_kernels = !args.has("no-fuse");
-  options.steady_state_detection = !args.has("no-detect");
-  options.kernel_dispatch = kernel_choice(args);
-  options.reorder = reorder_choice(args);
-  options.tile_bytes =
-      static_cast<std::size_t>(args.get_positive_int("tile-mb", 8)) << 20;
-  options.spill_dir = args.get_directory("spill-dir", "");
-  options.shards =
-      static_cast<std::size_t>(args.get_positive_int("shards", 1));
-}
-
-inline void apply_engine_tuning(const common::CliArgs& args,
-                                engine::ScenarioBatchOptions& options) {
-  options.fused_kernels = !args.has("no-fuse");
+/// Engine-tuning flags shared by every solver driver, for
+/// core::ApproximationOptions and engine::ScenarioBatchOptions alike:
+/// --no-detect disables steady-state early termination (uniformisation
+/// engines; other engines ignore it), --tile-mb N and --spill-dir PATH
+/// size and place the "ooc" engine's streamed tile store, --shards N sets
+/// the "sharded" engine's worker count (other engines ignore them).
+template <typename Options>
+void apply_engine_tuning(const common::CliArgs& args, Options& options) {
   options.steady_state_detection = !args.has("no-detect");
   options.kernel_dispatch = kernel_choice(args);
   options.reorder = reorder_choice(args);
@@ -264,13 +247,12 @@ inline EngineRun run_approximation(const core::KibamRmModel& model,
 }
 
 /// Work rate of the uniformisation kernel: stored entries of the matrix
-/// the loop actually iterated (active_nonzeros -- the compacted transpose
-/// when fused, the full uniformised P otherwise; generator nonzeros as a
-/// fallback for engines that do not report it) times DTMC steps per wall
-/// second.  Tracks kernel-level regressions the wall time alone hides
-/// (e.g. an iteration-count change masking a slower spmv, or a grown
-/// reachable closure masquerading as one).  0 when the run did no
-/// iterations or took no measurable time.
+/// the loop actually iterated (active_nonzeros -- the compacted transpose;
+/// generator nonzeros as a fallback for engines that do not report it)
+/// times DTMC steps per wall second.  Tracks kernel-level regressions the
+/// wall time alone hides (e.g. an iteration-count change masking a slower
+/// spmv, or a grown reachable closure masquerading as one).  0 when the
+/// run did no iterations or took no measurable time.
 inline double spmv_throughput(const core::ApproximationStats& stats,
                               double wall_seconds) {
   if (wall_seconds <= 0.0 || stats.uniformization_iterations == 0) return 0.0;
@@ -283,83 +265,58 @@ inline double spmv_throughput(const core::ApproximationStats& stats,
 
 /// Appends the standard per-configuration record (engine, delta, states,
 /// nonzeros, iterations, early-termination savings, effective spmv
-/// throughput, wall time); returns it for driver-specific extra fields.
-inline BenchRecord& add_engine_record(BenchReport& report,
-                                      const EngineRun& run, double delta) {
-  return report.add_record()
-      .field("engine", run.stats.engine)
-      .field("kernels", active_kernel_name())
-      .field("reorder", run.stats.reorder)
-      .field("delta", delta)
-      .field("states", run.stats.expanded_states)
-      .field("nonzeros", run.stats.generator_nonzeros)
-      .field("iterations", run.stats.uniformization_iterations)
-      .field("iterations_saved", run.stats.iterations_saved)
-      .field("active_states", run.stats.active_states)
-      .field("active_nonzeros", run.stats.active_nonzeros)
-      .field("matrix_bandwidth", run.stats.matrix_bandwidth)
-      .field("groupable_rows", run.stats.groupable_rows)
-      .field("longest_uniform_run", run.stats.longest_uniform_run)
-      .field("diagonal_rows", run.stats.diagonal_rows)
-      .field("longest_diagonal_run", run.stats.longest_diagonal_run)
-      .field("krylov_dim", run.stats.krylov_dim)
-      .field("substeps", run.stats.substeps)
-      .field("hessenberg_expms", run.stats.hessenberg_expms)
-      .field("krylov_ortho_work", run.stats.krylov_ortho_work)
-      .field("ooc_tiles", run.stats.ooc_tiles)
-      .field("ooc_tile_reads", run.stats.ooc_tile_reads)
-      .field("ooc_prefetch_hits", run.stats.ooc_prefetch_hits)
-      .field("ooc_bytes_streamed", run.stats.ooc_bytes_streamed)
-      .field("ooc_spill_bytes", run.stats.ooc_spill_bytes)
-      .field("shards", run.stats.shards)
-      .field("halo_bytes_per_step", run.stats.halo_bytes_per_step)
-      .field("halo_wait_ns", run.stats.halo_wait_ns)
-      .field("shard_nnz_imbalance", run.stats.shard_nnz_imbalance)
-      .field("spmv_throughput", spmv_throughput(run.stats, run.wall_seconds))
+/// throughput, wall time); a batched solve's record also carries its
+/// scenario label.  Returns it for driver-specific extra fields.
+inline BenchRecord& add_stats_record(BenchReport& report,
+                                     const core::ApproximationStats& stats,
+                                     double wall_seconds, double delta,
+                                     const std::string* scenario) {
+  BenchRecord& record = report.add_record()
+                            .field("engine", stats.engine)
+                            .field("kernels", active_kernel_name())
+                            .field("reorder", stats.reorder);
+  if (scenario) record.field("scenario", *scenario);
+  return record.field("delta", delta)
+      .field("states", stats.expanded_states)
+      .field("nonzeros", stats.generator_nonzeros)
+      .field("iterations", stats.uniformization_iterations)
+      .field("iterations_saved", stats.iterations_saved)
+      .field("active_states", stats.active_states)
+      .field("active_nonzeros", stats.active_nonzeros)
+      .field("matrix_bandwidth", stats.matrix_bandwidth)
+      .field("groupable_rows", stats.groupable_rows)
+      .field("longest_uniform_run", stats.longest_uniform_run)
+      .field("diagonal_rows", stats.diagonal_rows)
+      .field("longest_diagonal_run", stats.longest_diagonal_run)
+      .field("krylov_dim", stats.krylov_dim)
+      .field("substeps", stats.substeps)
+      .field("hessenberg_expms", stats.hessenberg_expms)
+      .field("krylov_ortho_work", stats.krylov_ortho_work)
+      .field("ooc_tiles", stats.ooc_tiles)
+      .field("ooc_tile_reads", stats.ooc_tile_reads)
+      .field("ooc_prefetch_hits", stats.ooc_prefetch_hits)
+      .field("ooc_bytes_streamed", stats.ooc_bytes_streamed)
+      .field("ooc_spill_bytes", stats.ooc_spill_bytes)
+      .field("shards", stats.shards)
+      .field("halo_bytes_per_step", stats.halo_bytes_per_step)
+      .field("halo_wait_ns", stats.halo_wait_ns)
+      .field("shard_nnz_imbalance", stats.shard_nnz_imbalance)
+      .field("spmv_throughput", spmv_throughput(stats, wall_seconds))
       .field("peak_rss_bytes", common::peak_rss_bytes())
-      .field("wall_seconds", run.wall_seconds);
+      .field("wall_seconds", wall_seconds);
 }
 
-/// Per-scenario record of a batched solve: same core fields as
-/// add_engine_record plus the scenario label, so the trajectory tooling
-/// reads batched and sequential runs uniformly.
+inline BenchRecord& add_engine_record(BenchReport& report,
+                                      const EngineRun& run, double delta) {
+  return add_stats_record(report, run.stats, run.wall_seconds, delta,
+                          nullptr);
+}
+
 inline BenchRecord& add_scenario_record(BenchReport& report,
                                         const engine::ScenarioResult& result,
                                         double delta) {
-  return report.add_record()
-      .field("engine", result.stats.engine)
-      .field("kernels", active_kernel_name())
-      .field("reorder", result.stats.reorder)
-      .field("scenario", result.label)
-      .field("delta", delta)
-      .field("states", result.stats.expanded_states)
-      .field("nonzeros", result.stats.generator_nonzeros)
-      .field("iterations", result.stats.uniformization_iterations)
-      .field("iterations_saved", result.stats.iterations_saved)
-      .field("active_states", result.stats.active_states)
-      .field("active_nonzeros", result.stats.active_nonzeros)
-      .field("matrix_bandwidth", result.stats.matrix_bandwidth)
-      .field("groupable_rows", result.stats.groupable_rows)
-      .field("longest_uniform_run", result.stats.longest_uniform_run)
-      .field("diagonal_rows", result.stats.diagonal_rows)
-      .field("longest_diagonal_run", result.stats.longest_diagonal_run)
-      .field("krylov_dim", result.stats.krylov_dim)
-      .field("substeps", result.stats.substeps)
-      .field("hessenberg_expms", result.stats.hessenberg_expms)
-      .field("krylov_ortho_work", result.stats.krylov_ortho_work)
-      .field("ooc_tiles", result.stats.ooc_tiles)
-      .field("ooc_tile_reads", result.stats.ooc_tile_reads)
-      .field("ooc_prefetch_hits", result.stats.ooc_prefetch_hits)
-      .field("ooc_bytes_streamed", result.stats.ooc_bytes_streamed)
-      .field("ooc_spill_bytes", result.stats.ooc_spill_bytes)
-      .field("shards", result.stats.shards)
-      .field("halo_bytes_per_step", result.stats.halo_bytes_per_step)
-      .field("halo_wait_ns", result.stats.halo_wait_ns)
-      .field("shard_nnz_imbalance", result.stats.shard_nnz_imbalance)
-      .field("spmv_throughput",
-             spmv_throughput(result.stats, result.wall_seconds))
-      .field("peak_rss_bytes", common::peak_rss_bytes())
-      .field("wall_seconds", result.wall_seconds);
+  return add_stats_record(report, result.stats, result.wall_seconds, delta,
+                          &result.label);
 }
 
 /// Aggregate record of one ScenarioBatch::solve_all: batch wall-clock vs

@@ -22,9 +22,8 @@ int main(int argc, char** argv) {
   common::CliArgs args(argc, argv);
   args.declare("csv").declare("full").declare("points").declare("delta")
       .declare("runs").declare("engine").declare("json").declare("threads")
-      .declare("no-fuse").declare("no-detect").declare("kernels")
-      .declare("reorder").declare("tile-mb").declare("spill-dir")
-      .declare("shards");
+      .declare("no-detect").declare("kernels").declare("reorder")
+      .declare("tile-mb").declare("spill-dir").declare("shards");
   args.validate();
   bench::apply_kernel_choice(args);
   const std::string engine =

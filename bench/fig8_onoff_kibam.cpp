@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   common::CliArgs args(argc, argv);
   args.declare("csv").declare("full").declare("points").declare("delta")
       .declare("runs").declare("engine").declare("json").declare("threads")
-      .declare("batch").declare("no-fuse").declare("no-detect")
+      .declare("batch").declare("no-detect")
       .declare("kernels").declare("reorder").declare("tile-mb")
       .declare("spill-dir").declare("shards");
   args.validate();

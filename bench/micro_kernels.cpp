@@ -1,9 +1,9 @@
 // Google-benchmark micro kernels for the numerical substrate: the CSR
-// left-multiply (uniformisation's inner loop) and its fused scatter and
-// gather variants, the compressed FusedGatherPlan kernel, Fox-Glynn
-// window construction and plan-cache reuse, the dense complex matrix
-// exponential (the exact solver's inner call), full uniformisation
-// transient solves (fused vs baseline), and expanded-chain construction.
+// left-multiply and fused gather, the compressed FusedGatherPlan kernel
+// (uniformisation's inner loop), Fox-Glynn window construction and
+// plan-cache reuse, the dense complex matrix exponential (the exact
+// solver's inner call), a full uniformisation transient solve, and
+// expanded-chain construction.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -49,18 +49,16 @@ linalg::CsrMatrix banded_stochastic(std::size_t n) {
 // --------------------------------------------------------------------
 // Dispatched kernel layer (linalg/kernels): dot/axpy/nrm2 and the fused
 // gather, scalar vs SIMD vs pool-sharded.  The second benchmark argument
-// selects the tier (0 = scalar, 1 = avx2, 2 = avx512, 3 = mixed); SIMD
-// rows are skipped on CPUs without the ISA.  The double tiers are bitwise
-// identical -- those benches measure the cost of the contract, not
-// different arithmetic; the mixed tier trades float32 operand rounding
-// for bandwidth.
+// selects the tier (0 = scalar, 1 = avx2, 2 = avx512); SIMD rows are
+// skipped on CPUs without the ISA.  The tiers are bitwise identical --
+// these benches measure the cost of the contract, not different
+// arithmetic.
 
 namespace k = linalg::kernels;
 
 bool select_tier(benchmark::State& state) {
   const auto tier = static_cast<k::Dispatch>(state.range(1));
-  if (tier != k::Dispatch::kMixed &&
-      static_cast<int>(k::detected_dispatch()) < static_cast<int>(tier)) {
+  if (static_cast<int>(k::detected_dispatch()) < static_cast<int>(tier)) {
     state.SkipWithError("CPU lacks the requested SIMD tier");
     return false;
   }
@@ -149,34 +147,6 @@ void BM_KernelDotSharded(benchmark::State& state) {
 BENCHMARK(BM_KernelDotSharded)
     ->Args({2097152, 1})->Args({2097152, 2})->Args({2097152, 4});
 
-void BM_FusedGatherPlanKernelTier(benchmark::State& state) {
-  // The fused gather through an explicit tier pin (the unsuffixed
-  // BM_FusedGatherPlanKernel below runs the production default): scalar
-  // per-length switch vs the opt-in AVX2 row-group gathers, same bits
-  // out.  This bench is why the grouping defaults off -- watch it per
-  // microarchitecture before flipping kernels::set_gather_grouping.
-  if (!select_tier(state)) return;
-  k::set_gather_grouping(state.range(1) == 1);
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const linalg::CsrMatrix pt = banded_stochastic(n).transposed();
-  const auto plan = linalg::FusedGatherPlan::build(pt);
-  std::vector<double> pi(n, 1.0 / static_cast<double>(n));
-  std::vector<double> out(n, 0.0);
-  std::vector<double> accum(n, 0.0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        plan->multiply_fused_range(pi, out, accum, 1e-4, 0, n));
-    pi.swap(out);
-  }
-  k::clear_dispatch();
-  k::set_gather_grouping(false);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(plan->nonzeros()));
-}
-BENCHMARK(BM_FusedGatherPlanKernelTier)
-    ->Args({100000, 0})->Args({100000, 1})
-    ->Args({1000000, 0})->Args({1000000, 1});
-
 void BM_FusedGatherReordered(benchmark::State& state) {
   // The production fused gather on the *real* Delta = 25 fig8 chain,
   // natural order vs the level-major reordering (range(0): 0 = none,
@@ -187,8 +157,6 @@ void BM_FusedGatherReordered(benchmark::State& state) {
   // to the scalar path, so the (1, tier) / (0, tier) ratio is the whole
   // reordering win.  Feeds the perf history via record_history.py.
   if (!select_tier(state)) return;
-  const bool mixed =
-      static_cast<k::Dispatch>(state.range(1)) == k::Dispatch::kMixed;
   const core::KibamRmModel model(
       workload::make_onoff_model({.frequency = 1.0, .erlang_k = 1,
                                   .on_current = 0.96}),
@@ -212,18 +180,10 @@ void BM_FusedGatherReordered(benchmark::State& state) {
   std::vector<double> pi(n, 1.0 / static_cast<double>(n));
   std::vector<double> out(n, 0.0);
   std::vector<double> accum(n, 0.0);
-  std::vector<float> pi_f(pi.begin(), pi.end());
-  std::vector<float> out_f(n, 0.0f);
   for (auto _ : state) {
-    if (mixed) {
-      benchmark::DoNotOptimize(
-          plan->multiply_fused_range_mixed(pi_f, out_f, accum, 1e-4, 0, n));
-      pi_f.swap(out_f);
-    } else {
-      benchmark::DoNotOptimize(
-          plan->multiply_fused_range(pi, out, accum, 1e-4, 0, n));
-      pi.swap(out);
-    }
+    benchmark::DoNotOptimize(
+        plan->multiply_fused_range(pi, out, accum, 1e-4, 0, n));
+    pi.swap(out);
   }
   k::clear_dispatch();
   state.counters["uniform_fraction"] = plan->uniform_fraction();
@@ -233,8 +193,7 @@ void BM_FusedGatherReordered(benchmark::State& state) {
 BENCHMARK(BM_FusedGatherReordered)
     ->Args({0, 0})->Args({1, 0})
     ->Args({0, 1})->Args({1, 1})
-    ->Args({0, 2})->Args({1, 2})
-    ->Args({1, 3});
+    ->Args({0, 2})->Args({1, 2});
 
 void BM_CsrLeftMultiply(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -272,7 +231,7 @@ BENCHMARK(BM_CsrMultiplyFusedRange)->Arg(10000)->Arg(100000)->Arg(1000000);
 
 void BM_FusedGatherPlanKernel(benchmark::State& state) {
   // Same fused step through the compressed plan (uint16 value dictionary +
-  // int16 column offsets): the production kernel of both uniformisation
+  // int16 column offsets): the production kernel of the uniformisation
   // engines.  Compare against BM_CsrMultiplyFusedRange for the layout win.
   const auto n = static_cast<std::size_t>(state.range(0));
   const linalg::CsrMatrix pt = banded_stochastic(n).transposed();
@@ -289,35 +248,6 @@ void BM_FusedGatherPlanKernel(benchmark::State& state) {
                           static_cast<std::int64_t>(plan->nonzeros()));
 }
 BENCHMARK(BM_FusedGatherPlanKernel)->Arg(10000)->Arg(100000)->Arg(1000000);
-
-void BM_CsrLeftMultiplyPartitionedFused(benchmark::State& state) {
-  // The fused scatter variant (spmv + accumulate + delta, absorbing rows
-  // carried over outside the CSR structure).
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const linalg::CsrMatrix p = banded_stochastic(n);
-  const auto identity = p.identity_rows();
-  std::vector<std::uint32_t> active;
-  active.reserve(n - identity.size());
-  std::size_t next_identity = 0;
-  for (std::size_t row = 0; row < n; ++row) {
-    if (next_identity < identity.size() && identity[next_identity] == row) {
-      ++next_identity;
-    } else {
-      active.push_back(static_cast<std::uint32_t>(row));
-    }
-  }
-  std::vector<double> pi(n, 1.0 / static_cast<double>(n));
-  std::vector<double> out(n, 0.0);
-  std::vector<double> accum(n, 0.0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(p.left_multiply_partitioned_fused(
-        pi, out, active, identity, 1e-4, accum));
-    pi.swap(out);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(p.nonzeros()));
-}
-BENCHMARK(BM_CsrLeftMultiplyPartitionedFused)->Arg(10000)->Arg(100000);
 
 void BM_FoxGlynnWindow(benchmark::State& state) {
   const double lambda = static_cast<double>(state.range(0));
@@ -391,9 +321,8 @@ void BM_BuildExpandedChain(benchmark::State& state) {
 BENCHMARK(BM_BuildExpandedChain)->Arg(100)->Arg(25)->Arg(10);
 
 void BM_TransientSolve(benchmark::State& state) {
-  // End-to-end uniformisation on the Delta = 25 single-well chain with
-  // the production defaults: fused compacted kernel plus steady-state
-  // early termination.
+  // End-to-end uniformisation on the Delta = 25 single-well chain:
+  // compacted fused gather plus steady-state early termination.
   const core::KibamRmModel model(
       workload::make_onoff_model({.frequency = 1.0, .erlang_k = 1,
                                   .on_current = 0.96}),
@@ -406,23 +335,5 @@ void BM_TransientSolve(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TransientSolve);
-
-void BM_TransientSolveBaseline(benchmark::State& state) {
-  // The pre-fusion loop (scatter kernel, no early termination) on the same
-  // chain -- the reference the CI fused-speedup gate measures against.
-  const core::KibamRmModel model(
-      workload::make_onoff_model({.frequency = 1.0, .erlang_k = 1,
-                                  .on_current = 0.96}),
-      {.capacity = 7200.0, .available_fraction = 1.0, .flow_constant = 0.0});
-  const auto expanded = core::build_expanded_chain(model, 25.0);
-  for (auto _ : state) {
-    markov::TransientSolver solver(
-        expanded.chain,
-        {.fused_kernels = false, .steady_state_detection = false});
-    const auto result = solver.solve(expanded.initial, {15000.0});
-    benchmark::DoNotOptimize(result.front().data());
-  }
-}
-BENCHMARK(BM_TransientSolveBaseline);
 
 }  // namespace

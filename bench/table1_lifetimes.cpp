@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
   common::CliArgs args(argc, argv);
   args.declare("csv").declare("full").declare("runs").declare("engine")
       .declare("threads").declare("delta").declare("json")
-      .declare("no-fuse").declare("no-detect").declare("kernels")
+      .declare("no-detect").declare("kernels")
       .declare("reorder").declare("tile-mb").declare("spill-dir")
       .declare("shards");
   args.validate();

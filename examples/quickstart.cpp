@@ -10,7 +10,7 @@
 //   ./examples/quickstart [--engine uniformization|adaptive|dense|parallel|
 //                                    krylov|ooc|sharded]
 //                         [--threads N]
-//                         [--kernels auto|scalar|avx2|avx512|mixed]
+//                         [--kernels auto|scalar|avx2|avx512]
 //                         [--reorder none|level|rcm]
 //                         [--tile-mb N] [--spill-dir PATH]   (ooc engine)
 //                         [--shards N]                    (sharded engine)
@@ -36,12 +36,11 @@ int main(int argc, char** argv) {
 
   common::CliArgs args(argc, argv);
   args.declare("engine").declare("delta").declare("threads")
-      .declare("no-fuse").declare("no-detect").declare("kernels")
-      .declare("reorder").declare("tile-mb").declare("spill-dir")
-      .declare("shards");
+      .declare("no-detect").declare("kernels").declare("reorder")
+      .declare("tile-mb").declare("spill-dir").declare("shards");
   args.validate();
   const std::string kernels = args.get_choice(
-      "kernels", "auto", {"auto", "scalar", "avx2", "avx512", "mixed"});
+      "kernels", "auto", {"auto", "scalar", "avx2", "avx512"});
   const std::string reorder =
       args.get_choice("reorder", "none", {"none", "level", "rcm"});
   const std::string engine =
@@ -72,11 +71,9 @@ int main(int argc, char** argv) {
       model, {.delta = delta,
               .engine = engine,
               .threads = threads,
-              // Engine tuning knobs, mirrored by the bench drivers: the
-              // fused kernel and steady-state early termination are on by
-              // default and --no-fuse / --no-detect switch back to the
-              // baseline loop for A/B comparisons.
-              .fused_kernels = !args.has("no-fuse"),
+              // Engine tuning knobs, mirrored by the bench drivers:
+              // steady-state early termination is on by default and
+              // --no-detect switches it off for A/B comparisons.
               .steady_state_detection = !args.has("no-detect"),
               // --tile-mb / --spill-dir tune the "ooc" engine's streamed
               // tile size and spill-file location; other engines ignore
@@ -86,7 +83,7 @@ int main(int argc, char** argv) {
                             << 20,
               .spill_dir = args.get_directory("spill-dir", ""),
               // --kernels pins the runtime-dispatched vector tier (the
-              // double tiers are bitwise identical; scalar is the
+              // tiers are bitwise identical; scalar is the
               // sanitizer-CI escape hatch) and --reorder renumbers the
               // expanded chain's states (level packs the runs the SIMD
               // gather tiers want; results are inverse-permuted, so the

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "kibamrm/linalg/kernels.hpp"
-
 namespace kibamrm::core {
 
 MarkovianApproximation::MarkovianApproximation(const KibamRmModel& model,
@@ -20,7 +18,6 @@ MarkovianApproximation::MarkovianApproximation(const KibamRmModel& model,
            // The curve only needs the streamed Pr{empty} values, not one
            // distribution copy per time point.
            .collect_distributions = false,
-           .fused_kernels = options_.fused_kernels,
            .steady_state_detection = options_.steady_state_detection,
            .tile_bytes = options_.tile_bytes,
            .spill_dir = options_.spill_dir,
@@ -81,13 +78,8 @@ LifetimeCurve solve_empty_probability_curve(const ExpandedChain& expanded,
   // The iterative engines can leave round-off outside [0, 1] and small
   // CDF dips at the scale of their configured tolerance (with head-room
   // for accumulation over the curve); clamp that, anything larger is a
-  // bug and throws.  The mixed kernel tier carries float32 operand
-  // rounding (~1e-7 per product) through the power iteration, so its
-  // floor is the float scale, not the solver tolerance.
-  const bool mixed = linalg::kernels::active_dispatch() ==
-                     linalg::kernels::Dispatch::kMixed;
-  const double tolerance =
-      std::max(mixed ? 1e-3 : 1e-6, 10.0 * epsilon);
+  // bug and throws.
+  const double tolerance = std::max(1e-6, 10.0 * epsilon);
   sanitize_probabilities(probabilities, tolerance);
   return LifetimeCurve(times, std::move(probabilities), tolerance);
 }

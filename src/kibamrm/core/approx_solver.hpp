@@ -36,21 +36,17 @@ struct ApproximationOptions {
   /// Execution lanes of the "parallel" engine; 0 auto-detects.  Ignored by
   /// the serial engines.
   std::size_t threads = 0;
-  /// Fused spmv+accumulate kernels of the uniformisation engines; false
-  /// keeps the pre-fusion loop as the measured baseline.
-  bool fused_kernels = true;
   /// Steady-state / absorption early termination inside each Poisson
-  /// window (uniformisation engines; requires fused_kernels).
+  /// window (uniformisation engines).
   bool steady_state_detection = true;
   /// "ooc" engine: serialized-size target per streamed tile and the
   /// spill-file directory (empty selects $TMPDIR, falling back to /tmp);
   /// forwarded to engine::BackendOptions.  Ignored by other engines.
   std::size_t tile_bytes = 8ull << 20;
   std::string spill_dir = "";
-  /// Vector-kernel tier pin ("auto" / "scalar" / "avx2" / "avx512" /
-  /// "mixed"), forwarded to engine::BackendOptions::kernel_dispatch
-  /// (process-global; the double tiers are bitwise identical, the mixed
-  /// tier trades float32 gather traffic for ~1e-6-level accuracy).
+  /// Vector-kernel tier pin ("auto" / "scalar" / "avx2" / "avx512"),
+  /// forwarded to engine::BackendOptions::kernel_dispatch (process-global;
+  /// the tiers are bitwise identical).
   std::string kernel_dispatch = "auto";
   /// State ordering of the expanded chain ("none" / "level" / "rcm", see
   /// core::StateOrdering).  Reordering never changes the solved curve --
@@ -82,7 +78,7 @@ struct ApproximationStats {
   /// Fox-Glynn windows computed vs served from the plan cache.
   std::uint64_t windows_computed = 0;
   std::uint64_t windows_reused = 0;
-  /// States in the reachable closure actually iterated by the fused
+  /// States in the reachable closure actually iterated by the
   /// uniformisation loop (<= expanded_states; 0 for other engines), and
   /// the stored entries of the iterated matrix (the honest work unit for
   /// throughput metrics).
@@ -100,9 +96,8 @@ struct ApproximationStats {
   /// natural numbering was kept).
   std::string reorder = "none";
   /// Structure of the matrix the hot loop iterated (the compacted
-  /// transpose for the fused engines): maximal |col - row|, rows inside
-  /// >= 4-row equal-length runs (what the SIMD grouping can take) and the
-  /// longest such run.  0 for engines that do not report it.
+  /// transpose): maximal |col - row|, rows inside >= 4-row equal-length
+  /// runs and the longest such run.  0 for engines that do not report it.
   std::uint64_t matrix_bandwidth = 0;
   std::uint64_t groupable_rows = 0;
   std::uint64_t longest_uniform_run = 0;

@@ -20,7 +20,7 @@ DenseExpmBackend::DenseExpmBackend(BackendOptions options)
 std::vector<std::vector<double>> DenseExpmBackend::solve(
     const markov::Ctmc& chain, const std::vector<double>& initial,
     const std::vector<double>& times, const PointCallback& on_point) {
-  check_arguments(chain, initial, times);
+  markov::check_transient_arguments(chain, initial, times);
   if (chain.state_count() > options_.dense_state_limit) {
     throw UnsupportedChainError(
         "dense engine: chain has " + std::to_string(chain.state_count()) +

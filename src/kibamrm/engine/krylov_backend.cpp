@@ -62,7 +62,7 @@ KrylovBackend::KrylovBackend(BackendOptions options)
 std::vector<std::vector<double>> KrylovBackend::solve(
     const markov::Ctmc& chain, const std::vector<double>& initial,
     const std::vector<double>& times, const PointCallback& on_point) {
-  check_arguments(chain, initial, times);
+  markov::check_transient_arguments(chain, initial, times);
 
   stats_ = BackendStats{};
   stats_.time_points = times.size();

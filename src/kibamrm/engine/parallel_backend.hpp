@@ -1,43 +1,43 @@
 // Parallel uniformisation backend: the paper's transient solver with its
 // sparse matrix-vector products sharded across a thread pool.
 //
-// The serial backend's hot kernel is the left product pi * P, a *scatter*
-// over rows of P -- rows race on output entries, so it does not shard.
-// This backend stores P transposed once per solve and computes
+// The solve runs markov::UniformizationDriver over a GatherExecutor: the
+// loop works in the compacted reachable closure of the initial support
+// (expanded battery chains reach only ~half their states from the
+// full-charge start) and gathers over the compacted transpose of P,
 //     next[j] = sum_k P^T(j,k) * power[k]  =  (power * P)[j],
-// a *gather*: each output entry is one CSR-row dot product, so disjoint
-// row ranges of P^T write disjoint outputs and need no synchronisation.
-// Ranges are balanced by non-zero count (CsrMatrix::balanced_row_ranges)
-// and claimed dynamically from a common::ThreadPool.
+// so each output entry is one row dot product and disjoint row ranges
+// shard across the pool without synchronisation.  The immutable setup
+// (closure, transpose, compressed gather plan) comes from
+// engine/plan_cache.hpp -- shared across a ScenarioBatch when
+// options.plan_cache is set.
 //
-// Because every out[j] is summed in the fixed storage order of its P^T
-// row (four fixed-interleave partial sums in the fused kernel), the result
-// is bitwise identical for every thread count and shard partition --
-// "--threads 8" reproduces "--threads 1" exactly, which the determinism
-// tests in tests/test_engine_parallel.cpp pin down.
-//
-// The fused kernel additionally folds the Poisson-weighted accumulation
-// and the steady-state delta into each shard's pass
-// (CsrMatrix::multiply_fused_range); per-shard deltas reduce by max --
-// order independent -- so steady-state early termination decides
-// identically at every thread count.  Fox-Glynn windows are memoised in a
-// markov::UniformizationPlan shared across increments and solves.
+// Because every out[j] is summed in the fixed canonical order of its row
+// and per-shard deltas reduce by max, the result is bitwise identical for
+// every thread count and shard partition -- "--threads 8" reproduces
+// "--threads 1" exactly, which the determinism tests in
+// tests/test_engine_parallel.cpp pin down.  Pinned to one lane this is
+// the registry's "uniformization" engine.
 #pragma once
 
 #include <memory>
+#include <string_view>
 
 #include "kibamrm/common/thread_pool.hpp"
+#include "kibamrm/engine/gather_executor.hpp"
 #include "kibamrm/engine/transient_backend.hpp"
-#include "kibamrm/linalg/csr_matrix.hpp"
-#include "kibamrm/markov/fox_glynn.hpp"
+#include "kibamrm/markov/uniformization.hpp"
 
 namespace kibamrm::engine {
 
 class ParallelUniformizationBackend final : public TransientBackend {
  public:
-  explicit ParallelUniformizationBackend(BackendOptions options);
+  /// `name` is the registry name the instance reports ("uniformization"
+  /// for the one-lane alias).
+  explicit ParallelUniformizationBackend(BackendOptions options,
+                                         std::string_view name = "parallel");
 
-  std::string_view name() const override { return "parallel"; }
+  std::string_view name() const override { return name_; }
 
   std::vector<std::vector<double>> solve(
       const markov::Ctmc& chain, const std::vector<double>& initial,
@@ -51,29 +51,13 @@ class ParallelUniformizationBackend final : public TransientBackend {
 
  private:
   BackendOptions options_;
+  std::string_view name_;
   BackendStats stats_;
   std::unique_ptr<common::ThreadPool> pool_;
-  // Scratch reused across increments and solve() calls (same discipline as
-  // markov::TransientSolver): a whole curve allocates only on its first
-  // increment.
-  std::vector<double> power_;
-  std::vector<double> next_;
-  std::vector<double> accum_;
-  // Full-dimension buffer results and callbacks are expanded into when the
-  // fused loop runs in the compacted reachable space.
-  std::vector<double> full_point_;
-  // Mixed-tier float scratch (see markov::TransientSolver): the power
-  // iteration streams float32 while accum_ stays double; per-row
-  // arithmetic is partition-independent, so the thread-count determinism
-  // guarantee carries over to the mixed tier unchanged.
-  std::vector<float> power_f_;
-  std::vector<float> next_f_;
-  // Per-shard sup-norm deltas from the fused kernel; reduced by max after
-  // each product (max is order-independent, so the reduction preserves the
-  // bitwise-deterministic guarantee).
-  std::vector<double> shard_deltas_;
-  // Fox-Glynn windows memoised across increments and solve() calls.
-  markov::UniformizationPlan plan_;
+  // Fox-Glynn windows (driver) and step vectors (executor), reused
+  // across solve() calls.
+  markov::UniformizationDriver driver_;
+  GatherExecutor executor_;
 };
 
 }  // namespace kibamrm::engine

@@ -42,6 +42,15 @@ std::shared_ptr<const CachedGatherPlan> build_cached_gather_plan(
   return cached;
 }
 
+void CachedGatherPlan::describe(markov::TransientStats& stats) const {
+  stats.active_nonzeros = nonzeros;
+  stats.matrix_bandwidth = structure.bandwidth;
+  stats.groupable_rows = structure.groupable_rows;
+  stats.longest_uniform_run = structure.longest_uniform_run;
+  stats.diagonal_rows = structure.diagonal_rows;
+  stats.longest_diagonal_run = structure.longest_diagonal_run;
+}
+
 std::uint64_t gather_plan_key(const linalg::CsrMatrix& generator, double rate,
                               std::span<const std::uint32_t> seeds) {
   const std::span<const std::uint32_t> row_ptr = generator.row_pointers();

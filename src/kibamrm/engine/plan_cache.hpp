@@ -29,6 +29,7 @@
 #include "kibamrm/linalg/csr_matrix.hpp"
 #include "kibamrm/linalg/fused_gather.hpp"
 #include "kibamrm/linalg/permutation.hpp"
+#include "kibamrm/markov/uniformization.hpp"
 
 namespace kibamrm::engine {
 
@@ -54,11 +55,28 @@ struct CachedGatherPlan {
   linalg::CsrMatrix transpose{1, 1};
 
   std::size_t rows() const { return row_entry_counts.size(); }
+
+  /// The fused gather step over rows [begin, end) through `plan`, or the
+  /// CSR fallback `transpose` -- bitwise the same arithmetic either way
+  /// (see FusedGatherPlan::multiply_fused_range).
+  double multiply_fused_range(const std::vector<double>& x,
+                              std::vector<double>& out,
+                              std::vector<double>& accum, double weight,
+                              std::size_t begin, std::size_t end) const {
+    return plan ? plan->multiply_fused_range(x, out, accum, weight, begin, end)
+                : transpose.multiply_fused_range(x, out, accum, weight, begin,
+                                                 end);
+  }
+
+  /// Writes the iterated matrix's size and structure (active_nonzeros and
+  /// the structure counters) into a solve's stats.
+  void describe(markov::TransientStats& stats) const;
 };
 
 /// Uniformises `generator` at `rate`, compacts to the reachable closure
-/// of `seeds` and builds the gather plan -- the setup block shared by the
-/// parallel and sharded backends, cache or no cache.
+/// of `seeds` and builds the gather plan -- the setup block shared by
+/// markov::TransientSolver and the parallel and sharded backends, cache or
+/// no cache.
 std::shared_ptr<const CachedGatherPlan> build_cached_gather_plan(
     const linalg::CsrMatrix& generator, double rate,
     std::span<const std::uint32_t> seeds);

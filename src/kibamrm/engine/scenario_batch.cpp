@@ -44,7 +44,6 @@ std::vector<ScenarioResult> ScenarioBatch::solve_all(
       // Batches stream Pr{empty} through the callback; the distributions
       // themselves are never materialised.
       .collect_distributions = false,
-      .fused_kernels = options_.fused_kernels,
       .steady_state_detection = options_.steady_state_detection,
       .tile_bytes = options_.tile_bytes,
       .spill_dir = options_.spill_dir,

@@ -96,19 +96,18 @@ struct ScenarioBatchOptions {
   /// at 1 by default so batch x engine parallelism does not oversubscribe
   /// -- raise it only for batches of few, huge scenarios.
   std::size_t engine_threads = 1;
-  /// Forwarded to the backend: fused spmv+accumulate kernels and
-  /// steady-state early termination (uniformisation engines).
-  bool fused_kernels = true;
+  /// Forwarded to the backend: steady-state early termination
+  /// (uniformisation engines).
   bool steady_state_detection = true;
   /// Forwarded to the "ooc" engine of every lane: serialized-size target
   /// per streamed tile and the spill directory (empty selects $TMPDIR).
   std::size_t tile_bytes = 8ull << 20;
   std::string spill_dir = "";
-  /// Vector-kernel tier pin ("auto" / "scalar" / "avx2" / "avx512" /
-  /// "mixed"), forwarded to every lane's
-  /// BackendOptions::kernel_dispatch -- the pin is process-global, so one
-  /// batch option covers all lanes (the sanitizer CI pins "scalar" here
-  /// to keep reports readable).  The double tiers are bitwise identical.
+  /// Vector-kernel tier pin ("auto" / "scalar" / "avx2" / "avx512"),
+  /// forwarded to every lane's BackendOptions::kernel_dispatch -- the pin
+  /// is process-global, so one batch option covers all lanes (the
+  /// sanitizer CI pins "scalar" here to keep reports readable).  The
+  /// tiers are bitwise identical.
   std::string kernel_dispatch = "auto";
   /// State ordering of every expanded chain ("none" / "level" / "rcm");
   /// see core::ApproximationOptions::reorder.

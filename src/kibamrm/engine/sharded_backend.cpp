@@ -256,12 +256,7 @@ void run_worker(SharedSetup& shared, std::size_t shard) {
   };
   const auto fused_range = [&](std::size_t begin, std::size_t end,
                                double weight) {
-    if (cached.plan) {
-      return cached.plan->multiply_fused_range(power, next, accum, weight,
-                                               begin, end);
-    }
-    return cached.transpose.multiply_fused_range(power, next, accum, weight,
-                                                 begin, end);
+    return cached.multiply_fused_range(power, next, accum, weight, begin, end);
   };
 
   const std::vector<double>& times = *shared.times;
@@ -364,32 +359,154 @@ void run_worker(SharedSetup& shared, std::size_t shard) {
   ::_exit(0);
 }
 
+/// The coordinator's step executor: workers run every step on their own
+/// bands, so the driver's vector operations become frames.  A step
+/// gathers the band deltas (when the driver wants one) and leaves a
+/// "continue" verdict pending, sent before the next step -- unless the
+/// driver folds instead, which sends "stop" with the residual tail mass.
+/// Workers never decide anything themselves.
+class Coordinator final : public markov::StepExecutor {
+ public:
+  Coordinator(SharedSetup& shared, std::vector<WorkerProc>& workers)
+      : shared_(shared), workers_(workers) {}
+
+  // Workers reload their own bands of pi(t_k) and add the n = 0 term.
+  void load(const std::vector<double>& /*current*/,
+            double /*weight0*/) override {}
+
+  double step(double /*weight*/, bool want_delta) override {
+    flush_verdict();
+    if (!want_delta) return 0.0;
+    double delta = 0.0;
+    for (std::size_t s = 0; s < workers_.size(); ++s) {
+      recv_from(s, kFrameDelta, sizeof(double));
+      double band_delta = 0.0;
+      std::memcpy(&band_delta, frame_.payload.data(), sizeof(band_delta));
+      delta = std::max(delta, band_delta);
+    }
+    verdict_pending_ = true;
+    return delta;
+  }
+
+  void fold(double residual) override {
+    const VerdictPayload verdict{residual, 1, 0};
+    broadcast(kFrameVerdict, &verdict, sizeof(verdict));
+    verdict_pending_ = false;
+  }
+
+  void read_back(std::vector<double>& current) override {
+    flush_verdict();
+    for (std::size_t s = 0; s < workers_.size(); ++s) {
+      const linalg::ShardBand& band = shared_.shard_plan->bands()[s];
+      recv_from(s, kFrameSlice, band.rows() * sizeof(double));
+      std::memcpy(current.data() + band.row_begin, frame_.payload.data(),
+                  frame_.payload.size());
+    }
+  }
+
+  // Scaling is elementwise, so band-local application on the workers is
+  // bitwise identical to the driver's whole-vector scaling.
+  void scale(double alpha) override {
+    broadcast(kFrameScale, &alpha, sizeof(alpha));
+  }
+
+  /// Receives every worker's end-of-solve stats frame; returns the summed
+  /// halo wait.
+  std::uint64_t collect_halo_wait_ns() {
+    std::uint64_t total = 0;
+    for (std::size_t s = 0; s < workers_.size(); ++s) {
+      recv_from(s, kFrameStats, sizeof(StatsPayload));
+      StatsPayload worker_stats;
+      std::memcpy(&worker_stats, frame_.payload.data(), sizeof(worker_stats));
+      total += worker_stats.halo_wait_ns;
+    }
+    return total;
+  }
+
+ private:
+  void flush_verdict() {
+    if (!verdict_pending_) return;
+    const VerdictPayload verdict;
+    broadcast(kFrameVerdict, &verdict, sizeof(verdict));
+    verdict_pending_ = false;
+  }
+
+  // Every coordinator wait polls the *whole fleet*, not just its own peer:
+  // a crashed worker deadlocks its halo neighbours (they block on a halo
+  // frame that will never come), and the frame the coordinator is waiting
+  // for may be stalled on one of those still-alive-but-wedged channels.
+  // Only abnormal deaths abort the wait -- a worker exiting 0 has already
+  // put its last frame in the ring.
+  bool fleet_healthy() {
+    for (WorkerProc& worker : workers_) {
+      if (worker_failed(worker)) return false;
+    }
+    return true;
+  }
+
+  // Names the first crashed worker (the root cause) rather than the
+  // channel the coordinator happened to be waiting on.
+  [[noreturn]] void rethrow_naming_dead_worker(std::size_t s,
+                                               const IpcError& error) {
+    for (std::size_t w = 0; w < workers_.size(); ++w) {
+      if (worker_failed(workers_[w])) {
+        throw IpcError("sharded worker " + std::to_string(w) +
+                       " died mid-solve: " + error.what());
+      }
+    }
+    throw IpcError("sharded worker " + std::to_string(s) + ": " +
+                   error.what());
+  }
+
+  void recv_from(std::size_t s, std::uint32_t want,
+                 std::size_t payload_bytes) {
+    try {
+      shared_.to_coord[s].recv(frame_, [this] { return fleet_healthy(); });
+    } catch (const IpcError& error) {
+      rethrow_naming_dead_worker(s, error);
+    }
+    if (frame_.type == kFrameError) {
+      throw IpcError("sharded worker " + std::to_string(s) + " failed: " +
+                     std::string(reinterpret_cast<const char*>(
+                                     frame_.payload.data()),
+                                 frame_.payload.size()));
+    }
+    if (frame_.type != want || frame_.payload.size() != payload_bytes) {
+      throw IpcError("sharded worker " + std::to_string(s) +
+                     ": unexpected frame type " + std::to_string(frame_.type));
+    }
+  }
+
+  void broadcast(std::uint32_t type, const void* payload, std::size_t bytes) {
+    for (std::size_t s = 0; s < workers_.size(); ++s) {
+      try {
+        shared_.from_coord[s].send(type, payload, bytes,
+                                   [this] { return fleet_healthy(); });
+      } catch (const IpcError& error) {
+        rethrow_naming_dead_worker(s, error);
+      }
+    }
+  }
+
+  SharedSetup& shared_;
+  std::vector<WorkerProc>& workers_;
+  common::ShmFrame frame_;
+  bool verdict_pending_ = false;
+};
+
 }  // namespace
 
 ShardedBackend::ShardedBackend(BackendOptions options)
     : options_(options),
-      shards_(std::max<std::size_t>(std::size_t{1}, options.shards)) {
-  KIBAMRM_REQUIRE(options_.epsilon > 0.0 && options_.epsilon < 1.0,
-                  "transient epsilon must lie in (0,1)");
-}
+      shards_(std::max<std::size_t>(std::size_t{1}, options.shards)),
+      driver_(transient_options(options)) {}
 
 std::vector<std::vector<double>> ShardedBackend::solve(
     const markov::Ctmc& chain, const std::vector<double>& initial,
     const std::vector<double>& times, const PointCallback& on_point) {
-  check_arguments(chain, initial, times);
-  if (!options_.fused_kernels) {
-    throw UnsupportedChainError(
-        "sharded backend requires fused kernels; use the parallel engine "
-        "for the unfused baseline loop");
-  }
-
-  double rate = options_.uniformization_rate;
-  if (rate == 0.0) {
-    rate = 1.02 * chain.max_exit_rate();
-    if (rate == 0.0) rate = 1.0;  // generator is all-absorbing
-  }
-  KIBAMRM_REQUIRE(rate * (1.0 + 1e-12) >= chain.max_exit_rate(),
-                  "uniformization rate below maximal exit rate");
+  markov::check_transient_arguments(chain, initial, times);
+  const double rate = markov::UniformizationDriver::select_rate(
+      chain, options_.uniformization_rate);
 
   std::vector<std::uint32_t> seeds;
   for (std::size_t i = 0; i < initial.size(); ++i) {
@@ -409,20 +526,10 @@ std::vector<std::vector<double>> ShardedBackend::solve(
       shards_);
 
   stats_ = BackendStats{};
-  stats_.uniformization_rate = rate;
-  stats_.time_points = times.size();
-  stats_.active_states = cached->reachable.size();
-  stats_.active_nonzeros = cached->nonzeros;
-  stats_.matrix_bandwidth = cached->structure.bandwidth;
-  stats_.groupable_rows = cached->structure.groupable_rows;
-  stats_.longest_uniform_run = cached->structure.longest_uniform_run;
-  stats_.diagonal_rows = cached->structure.diagonal_rows;
-  stats_.longest_diagonal_run = cached->structure.longest_diagonal_run;
+  cached->describe(stats_);
   stats_.shards = shards_;
   stats_.halo_bytes_per_step = shard_plan.halo_bytes_per_step();
   stats_.shard_nnz_imbalance = shard_plan.nnz_imbalance();
-  const std::uint64_t windows_computed_before = plan_.windows_computed();
-  const std::uint64_t windows_reused_before = plan_.windows_reused();
 
   SharedSetup shared;
   shared.options = &options_;
@@ -430,8 +537,6 @@ std::vector<std::vector<double>> ShardedBackend::solve(
   shared.shard_plan = &shard_plan;
   shared.times = &times;
   shared.rate = rate;
-  // detect is unconditional here: the backend rejects unfused solves
-  // above, and the fused sweep always yields the delta.
   shared.detect = options_.steady_state_detection;
   // threads == 0 means one lane per worker, not auto-detect: N workers
   // each auto-sizing to the whole machine would oversubscribe it N-fold.
@@ -478,150 +583,15 @@ std::vector<std::vector<double>> ShardedBackend::solve(
     workers[s].pid = pid;
   }
 
-  common::ShmFrame frame;
-  // Every coordinator wait polls the *whole fleet*, not just its own peer:
-  // a crashed worker deadlocks its halo neighbours (they block on a halo
-  // frame that will never come), and the frame the coordinator is waiting
-  // for may be stalled on one of those still-alive-but-wedged channels.
-  // Only abnormal deaths abort the wait -- a worker exiting 0 has already
-  // put its last frame in the ring.
-  const auto fleet_healthy = [&] {
-    for (WorkerProc& worker : workers) {
-      if (worker_failed(worker)) return false;
-    }
-    return true;
-  };
-  // Names the first crashed worker (the root cause) rather than the
-  // channel the coordinator happened to be waiting on.
-  const auto rethrow_naming_dead_worker = [&](std::size_t s,
-                                             const IpcError& error) {
-    for (std::size_t w = 0; w < workers.size(); ++w) {
-      if (worker_failed(workers[w])) {
-        throw IpcError("sharded worker " + std::to_string(w) +
-                       " died mid-solve: " + error.what());
-      }
-    }
-    throw IpcError("sharded worker " + std::to_string(s) + ": " +
-                   error.what());
-  };
-  const auto recv_from = [&](std::size_t s, std::uint32_t want,
-                             std::size_t payload_bytes) {
-    try {
-      shared.to_coord[s].recv(frame, fleet_healthy);
-    } catch (const IpcError& error) {
-      rethrow_naming_dead_worker(s, error);
-    }
-    if (frame.type == kFrameError) {
-      throw IpcError("sharded worker " + std::to_string(s) + " failed: " +
-                     std::string(reinterpret_cast<const char*>(
-                                     frame.payload.data()),
-                                 frame.payload.size()));
-    }
-    if (frame.type != want || frame.payload.size() != payload_bytes) {
-      throw IpcError("sharded worker " + std::to_string(s) +
-                     ": unexpected frame type " + std::to_string(frame.type));
-    }
-  };
-  const auto send_to = [&](std::size_t s, std::uint32_t type,
-                           const void* payload, std::size_t bytes) {
-    try {
-      shared.from_coord[s].send(type, payload, bytes, fleet_healthy);
-    } catch (const IpcError& error) {
-      rethrow_naming_dead_worker(s, error);
-    }
-  };
-
-  std::vector<std::vector<double>> results;
-  if (options_.collect_distributions) results.reserve(times.size());
-  assembled_ = shared.initial_compact;
-  full_point_.assign(initial.size(), 0.0);
-
-  // The coordinator replicates the parallel backend's per-increment
-  // bookkeeping exactly (iterations, calm-step guard, residual, hits) --
-  // the bitwise and iteration-equality tests in test_engine_sharded.cpp
-  // fail on any divergence.  Workers recompute identical Fox-Glynn
-  // windows locally, so only deltas and verdicts cross the channel.
-  const bool detect = shared.detect;
-  const double threshold = options_.epsilon / 2.0;
-  double current_time = 0.0;
-  for (std::size_t idx = 0; idx < times.size(); ++idx) {
-    const double dt = times[idx] - current_time;
-    if (dt > 0.0) {
-      const double lambda = rate * dt;
-      const std::shared_ptr<const markov::PoissonWindow> window_ptr =
-          plan_.window(lambda, options_.epsilon);
-      const markov::PoissonWindow& window = *window_ptr;
-      std::uint64_t calm_steps = 0;
-      for (std::uint64_t n = 1; n <= window.right; ++n) {
-        ++stats_.iterations;
-        if (!detect || n >= window.right) continue;
-        double delta = 0.0;
-        for (std::size_t s = 0; s < shards_; ++s) {
-          recv_from(s, kFrameDelta, sizeof(double));
-          double band_delta = 0.0;
-          std::memcpy(&band_delta, frame.payload.data(), sizeof(band_delta));
-          delta = std::max(delta, band_delta);
-        }
-        VerdictPayload verdict;
-        if (static_cast<double>(window.right - n) * delta <= threshold) {
-          if (++calm_steps >= 2) {
-            verdict.stop = 1;
-            double residual = 0.0;
-            for (std::uint64_t m = n + 1; m <= window.right; ++m) {
-              // kibamrm-lint: allow(reduction-contract) single-threaded sum of Fox-Glynn tail weights in fixed ascending m order; no thread-count dependence
-              residual += window.weight(m);
-            }
-            verdict.residual = residual;
-          }
-        } else {
-          calm_steps = 0;
-        }
-        for (std::size_t s = 0; s < shards_; ++s) {
-          send_to(s, kFrameVerdict, &verdict, sizeof(verdict));
-        }
-        if (verdict.stop != 0) {
-          stats_.iterations_saved += window.right - n;
-          ++stats_.steady_state_hits;
-          break;
-        }
-      }
-      for (std::size_t s = 0; s < shards_; ++s) {
-        const linalg::ShardBand& band = shard_plan.bands()[s];
-        recv_from(s, kFrameSlice, band.rows() * sizeof(double));
-        std::memcpy(assembled_.data() + band.row_begin, frame.payload.data(),
-                    frame.payload.size());
-      }
-      if (options_.renormalize) {
-        // Same serial Kahan sum over the same element order as
-        // normalize_probability on the single-process backends.
-        const double total = linalg::sum(assembled_);
-        if (!(total > 0.0)) {
-          throw NumericalError(
-              "normalize_probability: vector sum is not positive");
-        }
-        const double alpha = 1.0 / total;
-        for (std::size_t s = 0; s < shards_; ++s) {
-          send_to(s, kFrameScale, &alpha, sizeof(alpha));
-        }
-        linalg::scale(assembled_, alpha);
-      }
-      current_time = times[idx];
-    }
-    if (options_.collect_distributions || on_point) {
-      for (std::size_t i = 0; i < n_rows; ++i) {
-        full_point_[cached->reachable[i]] = assembled_[i];
-      }
-      if (options_.collect_distributions) results.push_back(full_point_);
-      if (on_point) on_point(idx, times[idx], full_point_);
-    }
-  }
-
-  for (std::size_t s = 0; s < shards_; ++s) {
-    recv_from(s, kFrameStats, sizeof(StatsPayload));
-    StatsPayload worker_stats;
-    std::memcpy(&worker_stats, frame.payload.data(), sizeof(worker_stats));
-    stats_.halo_wait_ns += worker_stats.halo_wait_ns;
-  }
+  // The coordinator runs the same driver as the parallel backend, so
+  // iterations, the calm-step guard, the residual and the hits cannot
+  // drift from it.  Workers recompute identical Fox-Glynn windows
+  // locally, so only deltas and verdicts cross the channel per step.
+  Coordinator coordinator(shared, workers);
+  std::vector<std::vector<double>> results =
+      driver_.run(coordinator, rate, cached->reachable, initial, times,
+                  on_point, stats_);
+  stats_.halo_wait_ns = coordinator.collect_halo_wait_ns();
   for (std::size_t s = 0; s < shards_; ++s) {
     WorkerProc& worker = workers[s];
     if (!worker.reaped) {
@@ -634,8 +604,6 @@ std::vector<std::vector<double>> ShardedBackend::solve(
     }
   }
 
-  stats_.windows_computed = plan_.windows_computed() - windows_computed_before;
-  stats_.windows_reused = plan_.windows_reused() - windows_reused_before;
   return results;
 }
 

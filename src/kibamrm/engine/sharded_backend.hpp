@@ -33,10 +33,9 @@
 // curves are bitwise identical to `parallel` at every shards x threads
 // combination -- tests/test_engine_sharded.cpp pins this down.
 //
-// Requires fused_kernels (the band loop is built on the gather plan);
-// throws UnsupportedChainError otherwise.  The float32 mixed tier is not
-// forwarded -- workers always run the double path, so curves match the
-// parallel backend's default tier regardless of --kernels.
+// The coordinator runs markov::UniformizationDriver with a step executor
+// whose steps are frames: it gathers the band deltas, makes every
+// steady-state decision and broadcasts the verdict; workers follow it.
 #pragma once
 
 #include <cstddef>
@@ -44,7 +43,7 @@
 #include <vector>
 
 #include "kibamrm/engine/transient_backend.hpp"
-#include "kibamrm/markov/fox_glynn.hpp"
+#include "kibamrm/markov/uniformization.hpp"
 
 namespace kibamrm::engine {
 
@@ -68,14 +67,10 @@ class ShardedBackend final : public TransientBackend {
   BackendOptions options_;
   BackendStats stats_;
   std::size_t shards_;
-  // Compacted current distribution assembled from worker band slices, and
-  // the full-dimension buffer it expands into for results and callbacks.
-  std::vector<double> assembled_;
-  std::vector<double> full_point_;
-  // Fox-Glynn windows memoised across increments and solve() calls; the
-  // coordinator replicates the parallel backend's iteration bookkeeping
-  // off this plan while workers recompute identical windows locally.
-  markov::UniformizationPlan plan_;
+  // The coordinator runs the parallel backend's driver (windows memoised
+  // across solve() calls) while workers recompute identical windows
+  // locally.
+  markov::UniformizationDriver driver_;
 };
 
 }  // namespace kibamrm::engine

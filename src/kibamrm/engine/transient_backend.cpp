@@ -1,6 +1,5 @@
 #include "kibamrm/engine/transient_backend.hpp"
 
-#include <algorithm>
 #include <map>
 #include <sstream>
 
@@ -11,10 +10,8 @@
 #include "kibamrm/engine/ooc_backend.hpp"
 #include "kibamrm/engine/parallel_backend.hpp"
 #include "kibamrm/engine/sharded_backend.hpp"
-#include "kibamrm/engine/uniformization_backend.hpp"
 #include "kibamrm/linalg/kernels.hpp"
 #include "kibamrm/linalg/shard_plan.hpp"
-#include "kibamrm/linalg/vector_ops.hpp"
 
 namespace kibamrm::engine {
 
@@ -24,7 +21,12 @@ std::map<std::string, BackendFactory, std::less<>>& registry() {
   static std::map<std::string, BackendFactory, std::less<>> backends = {
       {"uniformization",
        [](const BackendOptions& options) -> std::unique_ptr<TransientBackend> {
-         return std::make_unique<UniformizationBackend>(options);
+         // The serial engine is "parallel" on one lane: ThreadPool(1)
+         // spawns no threads and every step runs inline.
+         BackendOptions one_lane = options;
+         one_lane.threads = 1;
+         return std::make_unique<ParallelUniformizationBackend>(
+             one_lane, "uniformization");
        }},
       {"adaptive",
        [](const BackendOptions& options) -> std::unique_ptr<TransientBackend> {
@@ -59,8 +61,7 @@ std::map<std::string, BackendFactory, std::less<>>& registry() {
 GatherShardPlan plan_gather_shards(const linalg::CsrMatrix& matrix,
                                    std::size_t lanes) {
   GatherShardPlan plan;
-  plan.use_pool =
-      lanes > 1 && matrix.nonzeros() + matrix.rows() >= 16384;
+  plan.use_pool = pool_pays_off(lanes, matrix.nonzeros(), matrix.rows());
   plan.ranges = plan.use_pool
                     ? matrix.balanced_row_ranges(4 * lanes)
                     : std::vector<std::size_t>{0, matrix.rows()};
@@ -72,7 +73,7 @@ GatherShardPlan plan_gather_shards(std::span<const std::uint32_t> row_counts,
                                    std::size_t row_begin, std::size_t row_end,
                                    std::size_t lanes) {
   GatherShardPlan plan;
-  plan.use_pool = lanes > 1 && nonzeros + (row_end - row_begin) >= 16384;
+  plan.use_pool = pool_pays_off(lanes, nonzeros, row_end - row_begin);
   plan.ranges =
       plan.use_pool
           ? linalg::balanced_count_ranges(row_counts, row_begin, row_end,
@@ -81,17 +82,12 @@ GatherShardPlan plan_gather_shards(std::span<const std::uint32_t> row_counts,
   return plan;
 }
 
-void TransientBackend::check_arguments(const markov::Ctmc& chain,
-                                       const std::vector<double>& initial,
-                                       const std::vector<double>& times) {
-  KIBAMRM_REQUIRE(initial.size() == chain.state_count(),
-                  "initial distribution has wrong dimension");
-  KIBAMRM_REQUIRE(linalg::is_probability_vector(initial, 1e-6),
-                  "initial vector is not a probability distribution");
-  KIBAMRM_REQUIRE(std::is_sorted(times.begin(), times.end()),
-                  "time points must be sorted ascending");
-  KIBAMRM_REQUIRE(times.empty() || times.front() >= 0.0,
-                  "time points must be non-negative");
+markov::TransientOptions transient_options(const BackendOptions& options) {
+  return {.epsilon = options.epsilon,
+          .uniformization_rate = options.uniformization_rate,
+          .renormalize = options.renormalize,
+          .collect_results = options.collect_distributions,
+          .steady_state_detection = options.steady_state_detection};
 }
 
 std::unique_ptr<TransientBackend> make_backend(std::string_view name,

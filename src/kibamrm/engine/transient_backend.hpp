@@ -7,9 +7,8 @@
 // for a CTMC on a sorted time grid, and callers (core/approx_solver, the
 // bench drivers, examples) select an implementation by name:
 //
-//   "uniformization"  incremental uniformisation with Fox-Glynn windows and
-//                     an absorbing-layer fast path -- the production default
-//                     for the large expanded battery chains
+//   "uniformization"  the "parallel" engine pinned to one lane -- the serial
+//                     production default for the expanded battery chains
 //   "adaptive"        embedded Runge-Kutta (Dormand-Prince 5(4)) with
 //                     adaptive step control on pi' = pi Q -- complements the
 //                     transform solver in core/exact_c1 for small stiff
@@ -18,26 +17,28 @@
 //   "dense"           dense Pade matrix exponential (linalg/expm) with
 //                     increment caching -- cross-validation oracle for
 //                     chains below a configurable state threshold
-//   "parallel"        uniformisation with the spmv sharded across a
-//                     ThreadPool (transposed gather kernel, nnz-balanced
-//                     row ranges) -- bitwise deterministic across thread
-//                     counts; the multi-core production path
+//   "parallel"        incremental uniformisation with Fox-Glynn windows
+//                     (markov::UniformizationDriver) over the compacted
+//                     reachable closure, its fused gather step sharded
+//                     across a ThreadPool (nnz-balanced row ranges) --
+//                     bitwise deterministic across thread counts; the
+//                     multi-core production path
 //   "krylov"          Arnoldi projection of exp(Q^T t) v onto a small
 //                     Krylov subspace with EXPOKIT-style adaptive
 //                     sub-step splitting -- the stiff-chain path: its
 //                     cost scales with how fast the *solution* moves,
 //                     not with the spectral radius that defeats the
 //                     explicit stepper and bloats the Poisson window
-//   "ooc"             out-of-core uniformisation: the compacted transposed
-//                     matrix is encoded band-by-band into a tiled spill
-//                     file at solve start and streamed back per DTMC step
-//                     through a double-buffered prefetch pipeline --
-//                     bitwise identical curves to the fused in-memory
-//                     backends at every tile size and thread count, with
+//   "ooc"             the same driver with its step streamed from disk: the
+//                     compacted transposed matrix is encoded band by band
+//                     into a tiled spill file at solve start and streamed
+//                     back per DTMC step through a double-buffered
+//                     prefetch pipeline -- bitwise identical curves to
+//                     "parallel" at every tile size and thread count, with
 //                     a working set of two tiles plus O(states) vectors
-//   "sharded"         multi-process uniformisation: a coordinator forks
-//                     one worker per shard, each owning a contiguous
-//                     level band of the compacted transpose
+//   "sharded"         the same driver with its step split across processes:
+//                     a coordinator forks one worker per shard, each owning
+//                     a contiguous level band of the compacted transpose
 //                     (linalg::ShardPlan); workers run the fused gather
 //                     kernels on their band and exchange only the halo
 //                     rows per DTMC step over shared-memory rings
@@ -60,13 +61,26 @@
 #include "kibamrm/common/error.hpp"
 #include "kibamrm/linalg/csr_matrix.hpp"
 #include "kibamrm/markov/ctmc.hpp"
+#include "kibamrm/markov/uniformization.hpp"
 
 namespace kibamrm::engine {
 
 class GatherPlanCache;  // engine/plan_cache.hpp
 
+/// Stored entries plus rows below which one gather step costs less than
+/// waking a thread pool; every pool-sharded step (plan_gather_shards, the
+/// ooc tile sweep) engages the pool only at or above it.
+inline constexpr std::uint64_t kPoolEngageWork = 16384;
+
+/// The pool-engagement policy: more than one lane and at least
+/// kPoolEngageWork stored entries plus rows per step.
+inline bool pool_pays_off(std::size_t lanes, std::uint64_t nonzeros,
+                          std::uint64_t rows) {
+  return lanes > 1 && nonzeros + rows >= kPoolEngageWork;
+}
+
 /// How a pool-sharded gather matvec splits its rows; shared by the
-/// parallel and krylov backends so the engagement threshold and the
+/// uniformisation and krylov engines so the engagement threshold and the
 /// oversubscription factor stay tuned in exactly one place.
 struct GatherShardPlan {
   /// False when one lane (or a matrix too small to amortise waking the
@@ -79,11 +93,10 @@ struct GatherShardPlan {
   std::size_t shard_count() const { return ranges.size() - 1; }
 };
 
-/// Splits `matrix` for a gather matvec over `lanes` pool lanes.  Below
-/// ~16k stored entries one spmv costs less than waking the pool, so the
-/// plan stays inline; otherwise rows are nnz-balanced into 4x-lane
-/// shards (the oversubscription lets the atomic claim loop absorb cost
-/// imbalance a static split cannot see).
+/// Splits `matrix` for a gather matvec over `lanes` pool lanes.  Unless
+/// pool_pays_off() the plan stays inline; otherwise rows are nnz-balanced
+/// into 4x-lane shards (the oversubscription lets the atomic claim loop
+/// absorb cost imbalance a static split cannot see).
 GatherShardPlan plan_gather_shards(const linalg::CsrMatrix& matrix,
                                    std::size_t lanes);
 
@@ -128,13 +141,8 @@ struct BackendOptions {
   /// through the callback -- curve consumers on million-state chains avoid
   /// materialising time_points * states doubles they never read.
   bool collect_distributions = true;
-  /// Fused spmv+accumulate kernels (uniformisation engines): one finishing
-  /// sweep per iteration instead of a separate axpy, with the steady-state
-  /// delta as a by-product.  False keeps the pre-fusion loop as the
-  /// measured baseline.  Other backends ignore it.
-  bool fused_kernels = true;
   /// Steady-state / absorption early termination inside the Poisson window
-  /// (uniformisation engines; requires fused_kernels).  The detection
+  /// (uniformisation engines).  The detection
   /// error is charged against `epsilon`, so accuracy guarantees keep
   /// their order.  Other backends ignore it.
   bool steady_state_detection = true;
@@ -178,11 +186,9 @@ struct BackendOptions {
   /// Kernel dispatch for the linalg::kernels vector layer, applied
   /// process-globally by make_backend(): "auto" keeps the current process
   /// setting (CPUID-detected unless already pinned), "scalar" / "avx2" /
-  /// "avx512" pin a double tier (results are bitwise identical across
-  /// them; an unavailable tier falls back to the best supported one with
-  /// a stderr note), "mixed" selects the float32-gather throughput tier
-  /// of the fused uniformisation kernels (deterministic, ~1e-6-level
-  /// accuracy instead of bitwise).  See linalg/kernels.hpp.
+  /// "avx512" pin a tier (results are bitwise identical across them; an
+  /// unavailable tier falls back to the best supported one with a stderr
+  /// note).  See linalg/kernels.hpp.
   std::string kernel_dispatch = "auto";
   /// Sharded backend: worker processes the solve forks, each owning one
   /// contiguous level band of the compacted transpose.  1 still forks a
@@ -195,41 +201,23 @@ struct BackendOptions {
   std::size_t shards = 1;
   /// Optional cross-scenario cache of reachable closures + gather plans
   /// (engine/plan_cache.hpp), shared across the lanes of a ScenarioBatch.
-  /// Null solves build their plan privately.  Honoured by the fused
-  /// uniformisation engines ("parallel", "sharded"); results are
-  /// bitwise independent of cache hits.
+  /// Null solves build their plan privately.  Honoured by the in-memory
+  /// uniformisation engines ("uniformization", "parallel", "sharded");
+  /// results are bitwise independent of cache hits.
   std::shared_ptr<GatherPlanCache> plan_cache = nullptr;
 };
 
-/// Cost counters, populated by every backend after each solve().
-struct BackendStats {
-  /// Work unit depends on the backend: DTMC steps (= sparse matrix-vector
-  /// products) for uniformisation, right-hand-side evaluations for the
-  /// adaptive stepper, dense matrix-matrix products for the expm backend.
-  std::uint64_t iterations = 0;
-  std::uint64_t time_points = 0;
+/// Cost counters, populated by every backend after each solve().  The
+/// uniformisation counters come from markov::TransientStats: DTMC steps,
+/// savings and windows for the uniformisation engines, and the iterated
+/// matrix's size and structure for those and the krylov engine (0 where a
+/// backend does not report them).  `iterations` is the backend's work
+/// unit: DTMC steps (= sparse matrix-vector products) for uniformisation,
+/// right-hand-side evaluations for the adaptive stepper, dense
+/// matrix-matrix products for the expm backend.
+struct BackendStats : markov::TransientStats {
   /// Adaptive backend: steps whose error estimate forced a retry.
   std::uint64_t rejected_steps = 0;
-  /// Uniformisation backend: the rate actually used; 0 elsewhere.
-  double uniformization_rate = 0.0;
-  /// Uniformisation engines: Poisson terms short-circuited by steady-state
-  /// detection (iterations + iterations_saved == full window term count)
-  /// and increments on which detection fired; 0 elsewhere.
-  std::uint64_t iterations_saved = 0;
-  std::uint64_t steady_state_hits = 0;
-  /// Uniformisation engines: Fox-Glynn windows computed vs served from the
-  /// plan cache during the last solve; 0 elsewhere.
-  std::uint64_t windows_computed = 0;
-  std::uint64_t windows_reused = 0;
-  /// Uniformisation and krylov engines: states inside the reachable
-  /// closure of the initial distribution (the dimension the hot loops
-  /// iterate); equals the full state count without compaction, 0 for
-  /// other backends.
-  std::uint64_t active_states = 0;
-  /// Uniformisation and krylov engines: stored entries of the matrix the
-  /// loop actually iterates (compacted transpose when fused/compacted,
-  /// full matrix otherwise); 0 for other backends.
-  std::uint64_t active_nonzeros = 0;
   /// Krylov backend: largest Arnoldi subspace dimension used during the
   /// last solve (the configured cap, or less after happy breakdowns on
   /// near-invariant starts); 0 elsewhere.
@@ -245,21 +233,6 @@ struct BackendStats {
   /// Krylov backend: small Hessenberg exponentials evaluated, including
   /// rejected trial steps (each one cached-Pade evaluation); 0 elsewhere.
   std::uint64_t hessenberg_expms = 0;
-  /// Structure of the matrix the hot loop iterates (the compacted
-  /// transpose for the fused uniformisation and krylov engines): maximal
-  /// |col - row|, rows inside >= 4-row equal-length runs -- the rows the
-  /// SIMD gather grouping can take, the metric state reordering exists to
-  /// raise -- and the longest such run.  0 for backends that do not
-  /// report it.
-  std::uint64_t matrix_bandwidth = 0;
-  std::uint64_t groupable_rows = 0;
-  std::uint64_t longest_uniform_run = 0;
-  /// Rows whose offset pattern repeats the previous row's exactly
-  /// (diagonal runs -- the structure a band-sliding kernel exploits) and
-  /// the longest such run; reported by the fused uniformisation engines
-  /// and the ooc backend, 0 elsewhere.
-  std::uint64_t diagonal_rows = 0;
-  std::uint64_t longest_diagonal_run = 0;
   /// Out-of-core backend: tiles in the spill store, tile reads issued
   /// over the whole solve, reads satisfied by the prefetched back buffer
   /// or an already-resident tile, total slab bytes streamed from disk,
@@ -284,8 +257,7 @@ struct BackendStats {
 /// Called with (index, time, distribution) as soon as each requested time
 /// point is ready; curve consumers stream points this way instead of
 /// holding all distributions.
-using PointCallback =
-    std::function<void(std::size_t, double, const std::vector<double>&)>;
+using PointCallback = markov::PointCallback;
 
 /// Interface of a transient CTMC solver.  Implementations are stateless
 /// between solve() calls except for last_stats() and internal scratch.
@@ -306,13 +278,10 @@ class TransientBackend {
 
   /// Counters of the most recent solve().
   virtual const BackendStats& last_stats() const = 0;
-
- protected:
-  /// Shared argument validation (dimension, distribution, sorted times).
-  static void check_arguments(const markov::Ctmc& chain,
-                              const std::vector<double>& initial,
-                              const std::vector<double>& times);
 };
+
+/// The uniformisation-driver settings carried by `options`.
+markov::TransientOptions transient_options(const BackendOptions& options);
 
 /// Factory signature for register_backend().
 using BackendFactory =

@@ -5,9 +5,6 @@
 #include <limits>
 
 #include "kibamrm/common/error.hpp"
-#include "kibamrm/linalg/kernels.hpp"
-#include "kibamrm/linalg/kernels_internal.hpp"
-#include "kibamrm/linalg/vector_ops.hpp"
 
 namespace kibamrm::linalg {
 
@@ -88,24 +85,6 @@ void CsrMatrix::multiply_range(const std::vector<double>& x,
                   "multiply_range: output not pre-sized to rows()");
   KIBAMRM_REQUIRE(row_begin <= row_end && row_end <= rows_,
                   "multiply_range: invalid row range");
-#if KIBAMRM_HAVE_AVX2_TIER
-  // Opt-in row grouping (see kernels::gather_grouping): four equal-length
-  // rows per SIMD group with the same sequential per-row accumulation
-  // order, so scalar and SIMD results agree bitwise (the i32 gathers
-  // bound the index range).
-  const kernels::Dispatch tier =
-      kernels::double_tier(kernels::active_dispatch());
-  if (kernels::gather_grouping() &&
-      (tier == kernels::Dispatch::kAvx2 ||
-       tier == kernels::Dispatch::kAvx512) &&
-      cols_ <= static_cast<std::size_t>(
-                   std::numeric_limits<std::int32_t>::max())) {
-    kernels::detail::avx2_csr_multiply_rows(row_ptr_.data(), col_idx_.data(),
-                                            values_.data(), x.data(),
-                                            out.data(), row_begin, row_end);
-    return;
-  }
-#endif
   for (std::size_t row = row_begin; row < row_end; ++row) {
     double acc = 0.0;
     for (std::uint32_t k = row_ptr_[row]; k < row_ptr_[row + 1]; ++k) {
@@ -154,71 +133,6 @@ void CsrMatrix::left_multiply(const std::vector<double>& pi,
       out[col_idx_[k]] += p * values_[k];
     }
   }
-}
-
-void CsrMatrix::left_multiply_partitioned(
-    const std::vector<double>& pi, std::vector<double>& out,
-    std::span<const std::uint32_t> active,
-    std::span<const std::uint32_t> identity) const {
-  KIBAMRM_REQUIRE(pi.size() == rows_,
-                  "left_multiply_partitioned: dimension mismatch");
-  KIBAMRM_REQUIRE(active.size() + identity.size() == rows_,
-                  "left_multiply_partitioned: partition does not cover all "
-                  "rows");
-  out.assign(cols_, 0.0);
-  for (const std::uint32_t row : active) {
-    const double p = pi[row];
-    if (p == 0.0) continue;  // transient vectors are mostly sparse early on
-    for (std::uint32_t k = row_ptr_[row]; k < row_ptr_[row + 1]; ++k) {
-      out[col_idx_[k]] += p * values_[k];
-    }
-  }
-  for (const std::uint32_t row : identity) {
-    out[row] += pi[row];
-  }
-}
-
-double CsrMatrix::left_multiply_partitioned_fused(
-    const std::vector<double>& pi, std::vector<double>& out,
-    std::span<const std::uint32_t> active,
-    std::span<const std::uint32_t> identity, double weight,
-    std::vector<double>& accum) const {
-  KIBAMRM_REQUIRE(rows_ == cols_,
-                  "left_multiply_partitioned_fused: matrix must be square");
-  KIBAMRM_REQUIRE(pi.size() == rows_,
-                  "left_multiply_partitioned_fused: dimension mismatch");
-  KIBAMRM_REQUIRE(accum.size() == cols_,
-                  "left_multiply_partitioned_fused: accumulator mismatch");
-  KIBAMRM_REQUIRE(active.size() + identity.size() == rows_,
-                  "left_multiply_partitioned_fused: partition does not cover "
-                  "all rows");
-  out.assign(cols_, 0.0);
-  for (const std::uint32_t row : active) {
-    const double p = pi[row];
-    if (p == 0.0) continue;  // transient vectors are mostly sparse early on
-    for (std::uint32_t k = row_ptr_[row]; k < row_ptr_[row + 1]; ++k) {
-      out[col_idx_[k]] += p * values_[k];
-    }
-  }
-  for (const std::uint32_t row : identity) {
-    out[row] += pi[row];
-  }
-  // Finishing sweep: the scatter cannot fold per-entry work into itself
-  // (entries are only final once every row has scattered), but the
-  // accumulate and the step norm share one pass here instead of two.
-  double delta = 0.0;
-  if (weight != 0.0) {
-    for (std::size_t i = 0; i < cols_; ++i) {
-      const double v = out[i];
-      accum[i] += weight * v;
-      delta = std::max(delta, std::abs(v - pi[i]));
-    }
-  } else {
-    for (std::size_t i = 0; i < cols_; ++i) {
-      delta = std::max(delta, std::abs(out[i] - pi[i]));
-    }
-  }
-  return delta;
 }
 
 double CsrMatrix::multiply_fused_range(const std::vector<double>& x,
@@ -282,19 +196,6 @@ double CsrMatrix::multiply_fused_range(const std::vector<double>& x,
     delta = std::max(delta, std::abs(v - x[row]));
   }
   return delta;
-}
-
-std::vector<std::uint32_t> CsrMatrix::identity_rows() const {
-  std::vector<std::uint32_t> rows;
-  if (rows_ != cols_) return rows;
-  for (std::size_t row = 0; row < rows_; ++row) {
-    const std::uint32_t begin = row_ptr_[row];
-    if (row_ptr_[row + 1] == begin + 1 && col_idx_[begin] == row &&
-        values_[begin] == 1.0) {
-      rows.push_back(static_cast<std::uint32_t>(row));
-    }
-  }
-  return rows;
 }
 
 std::vector<double> CsrMatrix::row_sums() const {

@@ -4,10 +4,11 @@
 // millions of non-zeros; CSR with contiguous storage is the workhorse format
 // for the repeated vector-matrix products of uniformisation.
 //
-// Probability vectors are row vectors, so the hot kernel is the *left*
-// product  out = pi * A  (CsrMatrix::left_multiply), implemented as a scatter
-// over rows: for each i, out[j] += pi[i] * A(i,j).  This walks A exactly once
-// in storage order, which is as cache-friendly as CSR allows.
+// Probability vectors are row vectors, so uniformisation needs the *left*
+// product  out = pi * A.  The solvers compute it as a gather over the
+// transpose (multiply_fused_range, or the compressed linalg::FusedGatherPlan
+// built from it): each output entry is one CSR row dot product, so disjoint
+// row ranges shard across threads without synchronisation.
 #pragma once
 
 #include <cstddef>
@@ -72,9 +73,9 @@ class CsrMatrix {
   /// [row_begin, row_end) only and touches nothing else.  `out` must
   /// already have size rows().  Because each output entry is a gather over
   /// one CSR row, disjoint ranges write disjoint entries -- this is the
-  /// thread-safe spmv entry point the parallel uniformisation backend
-  /// shards across a ThreadPool, and the result is bitwise independent of
-  /// how the rows are partitioned.
+  /// thread-safe spmv entry point the krylov backend shards across a
+  /// ThreadPool, and the result is bitwise independent of how the rows
+  /// are partitioned.
   void multiply_range(const std::vector<double>& x, std::vector<double>& out,
                       std::size_t row_begin, std::size_t row_end) const;
 
@@ -90,39 +91,6 @@ class CsrMatrix {
   /// repeated products over time increments allocate nothing).
   void left_multiply(const std::vector<double>& pi,
                      std::vector<double>& out) const;
-
-  /// Sparsity-aware variant of left_multiply for uniformised chains with
-  /// absorbing states.  `active` and `identity` partition the row indices:
-  /// rows in `identity` are guaranteed (by the caller, see identity_rows())
-  /// to hold exactly a unit diagonal, so their contribution is
-  /// out[row] += pi[row] without touching the CSR arrays -- the absorbing
-  /// j1 = 0 layer of the expanded battery chain costs one add per state
-  /// instead of a pointer chase per iteration.  Rows in `active` are
-  /// scattered through the sparse structure as usual.
-  void left_multiply_partitioned(const std::vector<double>& pi,
-                                 std::vector<double>& out,
-                                 std::span<const std::uint32_t> active,
-                                 std::span<const std::uint32_t> identity) const;
-
-  /// Fused uniformisation step: left_multiply_partitioned() plus, in the
-  /// same finishing sweep over `out`, the Poisson-weighted accumulation
-  /// accum += weight * out (skipped for weight == 0, i.e. terms left of
-  /// the Fox-Glynn window) and the sup-norm step delta
-  ///     max_i |out[i] - pi[i]|  ==  ||pi P^n - pi P^(n-1)||_inf,
-  /// which is the steady-state detection signal.  Replaces the separate
-  /// axpy and norm passes of the unfused loop -- one full read of `out`
-  /// and one of `pi` per iteration instead of three.  Square matrices
-  /// only; returns the delta.
-  ///
-  /// This is the scatter-flavoured fused variant; the production solvers
-  /// use the gather-side multiply_fused_range / FusedGatherPlan (faster
-  /// on the paper's chains), and this kernel is kept for A/B measurement
-  /// and for workloads where the zero-row skip of the scatter wins.
-  double left_multiply_partitioned_fused(
-      const std::vector<double>& pi, std::vector<double>& out,
-      std::span<const std::uint32_t> active,
-      std::span<const std::uint32_t> identity, double weight,
-      std::vector<double>& accum) const;
 
   /// Fused gather-side uniformisation step on a *transposed* transition
   /// matrix: for rows in [row_begin, row_end) computes
@@ -141,10 +109,6 @@ class CsrMatrix {
                               std::vector<double>& accum, double weight,
                               std::size_t row_begin,
                               std::size_t row_end) const;
-
-  /// Rows whose only stored entry is a unit diagonal -- absorbing states of
-  /// a uniformised transition matrix P = I + Q/q.
-  std::vector<std::uint32_t> identity_rows() const;
 
   /// Per-row sums (for generator validation: rows of Q must sum to ~0).
   std::vector<double> row_sums() const;

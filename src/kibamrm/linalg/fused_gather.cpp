@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <type_traits>
 #include <unordered_map>
 
 #include "kibamrm/common/error.hpp"
@@ -69,10 +68,6 @@ std::optional<FusedGatherPlan> FusedGatherPlan::build(
     // them.
     if (max_abs_offset > 4096) plan.prefetch_distance_ = 16;
     plan.build_uniform_segments();
-    // float32 shadow dictionary for the mixed tier (a few KB; built
-    // eagerly so the mixed kernels never allocate).
-    plan.dictionary_f_.assign(plan.dictionary_.begin(),
-                              plan.dictionary_.end());
     return plan;
   }
 
@@ -170,24 +165,18 @@ double FusedGatherPlan::multiply_fused_range(const std::vector<double>& x,
                                         row_end);
 }
 
-template <typename Value>
-double FusedGatherPlan::fused_rows_generic(const Value* x, Value* out,
-                                           double* accum,
-                                           const Value* dictionary,
-                                           double weight,
-                                           std::size_t row_begin,
-                                           std::size_t row_end) const {
+double FusedGatherPlan::fused_rows_scalar(const double* x, double* out,
+                                          double* accum, double weight,
+                                          std::size_t row_begin,
+                                          std::size_t row_end) const {
   const std::uint8_t* lengths = lengths_.data();
   const std::int16_t* offsets = offsets_.data();
   const std::uint16_t* value_ids = value_ids_.data();
+  const double* dictionary = dictionary_.data();
   double delta = 0.0;
   std::size_t k = entry_start_[row_begin];
-  // One stored-entry product; for Value = double the casts are no-ops and
-  // the arithmetic is the historical scalar kernel unchanged, for Value =
-  // float each product promotes exactly to double (the mixed contract).
   const auto term = [&](std::size_t row, std::size_t e) {
-    return static_cast<double>(dictionary[value_ids[e]]) *
-           static_cast<double>(x[row + offsets[e]]);
+    return dictionary[value_ids[e]] * x[row + offsets[e]];
   };
   // Prefetching never touches the arithmetic, so the bitwise contract is
   // unaffected; only offsets_-backed (kRowOffset) plans reach this loop.
@@ -242,23 +231,23 @@ double FusedGatherPlan::fused_rows_generic(const Value* x, Value* out,
         k += length;
       }
     }
-    out[row] = static_cast<Value>(v);
+    out[row] = v;
     if (weight != 0.0) accum[row] += weight * v;
-    delta = std::max(delta, std::abs(v - static_cast<double>(x[row])));
+    delta = std::max(delta, std::abs(v - x[row]));
   }
   return delta;
 }
 
-template <typename Value>
-double FusedGatherPlan::fused_segments_simd(
-    const Value* x, Value* out, double* accum, const Value* dictionary,
-    double weight, std::size_t row_begin, std::size_t row_end,
-    bool use_avx512) const {
+double FusedGatherPlan::fused_segments_simd(const double* x, double* out,
+                                            double* accum, double weight,
+                                            std::size_t row_begin,
+                                            std::size_t row_end,
+                                            bool use_avx512) const {
 #if !KIBAMRM_HAVE_AVX2_TIER
   (void)use_avx512;
-  return fused_rows_generic(x, out, accum, dictionary, weight, row_begin,
-                            row_end);
+  return fused_rows_scalar(x, out, accum, weight, row_begin, row_end);
 #else
+  const double* dictionary = dictionary_.data();
   // First segment that can still cover row_begin.
   std::size_t si =
       std::partition_point(segments_.begin(), segments_.end(),
@@ -279,32 +268,17 @@ double FusedGatherPlan::fused_segments_simd(
       const std::uint16_t* ids = segment_ids_.data() + segment.ids_base;
       const std::size_t local = row - segment.row_begin;
       double segment_delta;
-      if constexpr (std::is_same_v<Value, double>) {
 #if KIBAMRM_HAVE_AVX512_TIER
-        if (use_avx512) {
-          segment_delta = kernels::detail::avx512_plan_uniform_rows(
-              segment.length, offsets, ids, segment.row_count, local,
-              dictionary, x, out, accum, weight, row, end);
-        } else
+      if (use_avx512) {
+        segment_delta = kernels::detail::avx512_plan_uniform_rows(
+            segment.length, offsets, ids, segment.row_count, local,
+            dictionary, x, out, accum, weight, row, end);
+      } else
 #endif
-        {
-          segment_delta = kernels::detail::avx2_plan_uniform_rows(
-              segment.length, offsets, ids, segment.row_count, local,
-              dictionary, x, out, accum, weight, row, end);
-        }
-      } else {
-#if KIBAMRM_HAVE_AVX512_TIER
-        if (use_avx512) {
-          segment_delta = kernels::detail::avx512_plan_uniform_rows_mixed(
-              segment.length, offsets, ids, segment.row_count, local,
-              dictionary, x, out, accum, weight, row, end);
-        } else
-#endif
-        {
-          segment_delta = kernels::detail::avx2_plan_uniform_rows_mixed(
-              segment.length, offsets, ids, segment.row_count, local,
-              dictionary, x, out, accum, weight, row, end);
-        }
+      {
+        segment_delta = kernels::detail::avx2_plan_uniform_rows(
+            segment.length, offsets, ids, segment.row_count, local,
+            dictionary, x, out, accum, weight, row, end);
       }
       delta = std::max(delta, segment_delta);
       row = end;
@@ -314,8 +288,8 @@ double FusedGatherPlan::fused_segments_simd(
           si < segments_.size()
               ? std::min<std::size_t>(row_end, segments_[si].row_begin)
               : row_end;
-      delta = std::max(delta, fused_rows_generic(x, out, accum, dictionary,
-                                                 weight, row, end));
+      delta = std::max(delta,
+                       fused_rows_scalar(x, out, accum, weight, row, end));
       row = end;
     }
   }
@@ -328,60 +302,18 @@ double FusedGatherPlan::fused_range_row_offset(
     std::vector<double>& accum, double weight, std::size_t row_begin,
     std::size_t row_end) const {
 #if KIBAMRM_HAVE_AVX2_TIER
-  const kernels::Dispatch tier =
-      kernels::double_tier(kernels::active_dispatch());
-  const bool simd = tier == kernels::Dispatch::kAvx2 ||
-                    tier == kernels::Dispatch::kAvx512;
   // Uniform segments dispatch automatically under any SIMD tier: the
   // across-row kernels replace gathers with contiguous loads, which wins
   // wherever segments exist at all (they only exist on reordered chains).
-  if (simd && !segments_.empty()) {
-    return fused_segments_simd(x.data(), out.data(), accum.data(),
-                               dictionary_.data(), weight, row_begin,
-                               row_end, tier == kernels::Dispatch::kAvx512);
-  }
-  // The legacy within-row gather grouping stays opt-in (see
-  // kernels::gather_grouping): the scalar per-length switch measured
-  // faster on gather-slow parts.
-  if (kernels::gather_grouping() && simd &&
-      rows() <= static_cast<std::size_t>(
-                    std::numeric_limits<std::int32_t>::max())) {
-    return kernels::detail::avx2_plan_fused_rows(
-        lengths_.data(), entry_start_.data(), offsets_.data(),
-        value_ids_.data(), dictionary_.data(), x.data(), out.data(),
-        accum.data(), weight, row_begin, row_end);
+  const kernels::Dispatch tier = kernels::active_dispatch();
+  if (tier != kernels::Dispatch::kScalar && !segments_.empty()) {
+    return fused_segments_simd(x.data(), out.data(), accum.data(), weight,
+                               row_begin, row_end,
+                               tier == kernels::Dispatch::kAvx512);
   }
 #endif
-  return fused_rows_generic(x.data(), out.data(), accum.data(),
-                            dictionary_.data(), weight, row_begin, row_end);
-}
-
-double FusedGatherPlan::multiply_fused_range_mixed(
-    const std::vector<float>& x, std::vector<float>& out,
-    std::vector<double>& accum, double weight, std::size_t row_begin,
-    std::size_t row_end) const {
-  KIBAMRM_REQUIRE(mixed_supported(),
-                  "FusedGatherPlan: mixed kernels need the row-offset "
-                  "layout");
-  KIBAMRM_REQUIRE(x.size() == rows() && out.size() == rows() &&
-                      accum.size() == rows(),
-                  "FusedGatherPlan: vectors not sized to rows()");
-  KIBAMRM_REQUIRE(row_begin <= row_end && row_end <= rows(),
-                  "FusedGatherPlan: invalid row range");
-#if KIBAMRM_HAVE_AVX2_TIER
-  const kernels::Dispatch tier =
-      kernels::double_tier(kernels::active_dispatch());
-  if ((tier == kernels::Dispatch::kAvx2 ||
-       tier == kernels::Dispatch::kAvx512) &&
-      !segments_.empty()) {
-    return fused_segments_simd(x.data(), out.data(), accum.data(),
-                               dictionary_f_.data(), weight, row_begin,
-                               row_end, tier == kernels::Dispatch::kAvx512);
-  }
-#endif
-  return fused_rows_generic(x.data(), out.data(), accum.data(),
-                            dictionary_f_.data(), weight, row_begin,
-                            row_end);
+  return fused_rows_scalar(x.data(), out.data(), accum.data(), weight,
+                           row_begin, row_end);
 }
 
 std::vector<std::pair<std::size_t, std::size_t>>

@@ -14,11 +14,9 @@
 //                  (CSR spends 12); row lengths stream as one uint8 each.
 //                  ~1/3 the per-iteration traffic on the paper's Fig. 8
 //                  chains, measured ~1.3-1.5x end-to-end over the CSR
-//                  gather.  This layout is SIMD-dispatched: runs of
-//                  equal-length rows evaluate four rows per AVX2 gather
-//                  group when the avx2 kernel tier is active.
+//                  gather.
 //
-//                  Additionally, build() detects UNIFORM SEGMENTS -- runs
+//                  build() also detects UNIFORM SEGMENTS -- runs
 //                  of consecutive rows that share both their length (1-4)
 //                  and their entire column-offset pattern.  On a
 //                  level-major-reordered battery chain (see
@@ -31,8 +29,7 @@
 //                  the unchanged per-row canonical order -- so the
 //                  segment kernels stay inside the bitwise contract.
 //                  Segment dispatch is automatic whenever a SIMD tier is
-//                  active (unlike the opt-in legacy row-group gather,
-//                  which loses on unordered chains).
+//                  active; rows outside segments run the scalar kernel.
 //
 //   kColumnDelta   fallback for wide chains whose column offsets escape
 //                  int16: per-row absolute first column (uint32) plus
@@ -40,8 +37,7 @@
 //                  columns are sorted, so any row whose largest gap fits
 //                  16 bits compresses, regardless of the band width.
 //                  Same 4 bytes per entry plus 4 per row; scalar kernel
-//                  only (the running-column dependency defeats the
-//                  gather grouping).
+//                  only.
 //
 // The kernel itself is the same fused uniformisation step as
 // CsrMatrix::multiply_fused_range (spmv + Poisson-weighted accumulate +
@@ -68,7 +64,7 @@ namespace kibamrm::linalg {
 class FusedGatherPlan {
  public:
   enum class Layout {
-    kRowOffset,    ///< int16 (column - row) offsets; SIMD-dispatched
+    kRowOffset,    ///< int16 (column - row) offsets; SIMD segments
     kColumnDelta,  ///< absolute first column + uint16 in-row deltas; scalar
   };
 
@@ -92,11 +88,6 @@ class FusedGatherPlan {
                : static_cast<double>(uniform_rows_) /
                      static_cast<double>(lengths_.size());
   }
-
-  /// Whether multiply_fused_range_mixed is available: the row-offset
-  /// layout carries a float32 shadow dictionary, the column-delta
-  /// fallback does not.
-  bool mixed_supported() const { return layout_ == Layout::kRowOffset; }
 
   /// (row_begin, row_end) of every uniform segment, ascending.
   std::vector<std::pair<std::size_t, std::size_t>> uniform_segment_spans()
@@ -125,20 +116,6 @@ class FusedGatherPlan {
                               std::size_t row_begin,
                               std::size_t row_end) const;
 
-  /// Mixed-precision fused step (requires mixed_supported()): reads x as
-  /// float32, writes out as float32, accumulates accum[row] += weight *
-  /// sum in DOUBLE -- each product is (double)value_f * (double)x_f,
-  /// which is exact, so only the float32 operand rounding (~1e-7
-  /// relative) is lost per entry.  Deterministic across threads and row
-  /// partitions (per-row arithmetic is partition-independent), but NOT
-  /// bitwise comparable to the double kernels.  Returns the range-local
-  /// max |sum - (double)x[row]|.
-  double multiply_fused_range_mixed(const std::vector<float>& x,
-                                    std::vector<float>& out,
-                                    std::vector<double>& accum,
-                                    double weight, std::size_t row_begin,
-                                    std::size_t row_end) const;
-
  private:
   FusedGatherPlan() = default;
 
@@ -163,19 +140,17 @@ class FusedGatherPlan {
 
   void build_uniform_segments();
 
-  template <typename Value>
-  double fused_rows_generic(const Value* x, Value* out, double* accum,
-                            const Value* dictionary, double weight,
-                            std::size_t row_begin, std::size_t row_end) const;
+  /// The canonical scalar kernel over the row-offset layout.
+  double fused_rows_scalar(const double* x, double* out, double* accum,
+                           double weight, std::size_t row_begin,
+                           std::size_t row_end) const;
 
   /// Walks [row_begin, row_end) alternating between uniform segments
   /// (vectorised kernel, 8 or 4 rows per group) and the canonical scalar
   /// span between them.
-  template <typename Value>
-  double fused_segments_simd(const Value* x, Value* out, double* accum,
-                             const Value* dictionary, double weight,
-                             std::size_t row_begin, std::size_t row_end,
-                             bool use_avx512) const;
+  double fused_segments_simd(const double* x, double* out, double* accum,
+                             double weight, std::size_t row_begin,
+                             std::size_t row_end, bool use_avx512) const;
 
   Layout layout_ = Layout::kRowOffset;
   std::vector<std::uint8_t> lengths_;      // stored entries per row
@@ -183,7 +158,6 @@ class FusedGatherPlan {
                                            // read once per kernel call, not per row
   std::vector<std::uint16_t> value_ids_;   // dictionary index, per entry
   std::vector<double> dictionary_;         // distinct values, exact bit patterns
-  std::vector<float> dictionary_f_;        // float32 shadow for the mixed tier
   // kRowOffset layout:
   std::vector<std::int16_t> offsets_;      // column - row, per entry
   // Uniform segments (kRowOffset only), ascending by row_begin:

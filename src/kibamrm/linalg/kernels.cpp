@@ -25,15 +25,9 @@ namespace {
 constexpr int kNoPin = -1;
 std::atomic<int> g_pin{kNoPin} KIBAMRM_LOCK_FREE(
     "independent word; relaxed pin visible on the next kernel call");
-std::atomic<bool> g_gather_grouping{false} KIBAMRM_LOCK_FREE(
-    "independent word; relaxed toggle, bits identical either way");
 
 void apply_environment_pin_once() {
   static const bool applied = [] {
-    if (const char* gather = std::getenv("KIBAMRM_SIMD_GATHER")) {
-      const std::string_view value(gather);
-      set_gather_grouping(value == "on" || value == "1" || value == "true");
-    }
     const char* value = std::getenv("KIBAMRM_KERNELS");
     if (value == nullptr) return true;
     try {
@@ -118,10 +112,6 @@ Dispatch active_dispatch() {
   return pin == kNoPin ? detected_dispatch() : static_cast<Dispatch>(pin);
 }
 
-Dispatch double_tier(Dispatch dispatch) {
-  return dispatch == Dispatch::kMixed ? detected_dispatch() : dispatch;
-}
-
 void set_dispatch(Dispatch dispatch) {
   if (dispatch == Dispatch::kAvx2 || dispatch == Dispatch::kAvx512) {
     KIBAMRM_REQUIRE(
@@ -134,23 +124,12 @@ void set_dispatch(Dispatch dispatch) {
 
 void clear_dispatch() { g_pin.store(kNoPin, std::memory_order_relaxed); }
 
-bool gather_grouping() {
-  apply_environment_pin_once();
-  return g_gather_grouping.load(std::memory_order_relaxed);
-}
-
-void set_gather_grouping(bool enabled) {
-  g_gather_grouping.store(enabled, std::memory_order_relaxed);
-}
-
 std::string_view dispatch_name(Dispatch dispatch) {
   switch (dispatch) {
     case Dispatch::kAvx2:
       return "avx2";
     case Dispatch::kAvx512:
       return "avx512";
-    case Dispatch::kMixed:
-      return "mixed";
     default:
       return "scalar";
   }
@@ -161,9 +140,8 @@ std::optional<Dispatch> parse_dispatch(std::string_view name) {
   if (name == "scalar") return Dispatch::kScalar;
   if (name == "avx2") return Dispatch::kAvx2;
   if (name == "avx512") return Dispatch::kAvx512;
-  if (name == "mixed") return Dispatch::kMixed;
   throw InvalidArgument("unknown kernel dispatch '" + std::string(name) +
-                        "'; choices: auto scalar avx2 avx512 mixed");
+                        "'; choices: auto scalar avx2 avx512");
 }
 
 void apply_dispatch(std::string_view name) {
@@ -196,7 +174,7 @@ std::size_t block_count(std::size_t n) {
 void dot_blocks(const double* a, const double* b, std::size_t n,
                 std::size_t block_begin, std::size_t block_end,
                 double* partials) {
-  const Dispatch tier = double_tier(active_dispatch());
+  const Dispatch tier = active_dispatch();
   (void)tier;
 #if KIBAMRM_HAVE_AVX512_TIER
   if (tier == Dispatch::kAvx512) {
@@ -234,7 +212,7 @@ double nrm2(const double* v, std::size_t n) {
 }
 
 void axpy(double alpha, const double* x, double* y, std::size_t n) {
-  const Dispatch tier = double_tier(active_dispatch());
+  const Dispatch tier = active_dispatch();
   (void)tier;
 #if KIBAMRM_HAVE_AVX512_TIER
   if (tier == Dispatch::kAvx512) {
@@ -252,7 +230,7 @@ void axpy(double alpha, const double* x, double* y, std::size_t n) {
 }
 
 void scale(double* v, double alpha, std::size_t n) {
-  const Dispatch tier = double_tier(active_dispatch());
+  const Dispatch tier = active_dispatch();
   (void)tier;
 #if KIBAMRM_HAVE_AVX512_TIER
   if (tier == Dispatch::kAvx512) {

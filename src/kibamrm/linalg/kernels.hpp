@@ -1,11 +1,11 @@
 // Runtime-dispatched dense vector kernels with a deterministic reduction
 // contract -- the shared substrate of every hot loop in the library.
 //
-// Four implementation tiers exist behind one entry point each: a portable
-// scalar tier, an AVX2 tier, an AVX-512 tier (picked at runtime via CPUID,
-// see common/cpu_features) and a mixed-precision throughput tier.  The
-// three double tiers honour the same arithmetic contract, so a solver's
-// result is bitwise identical whichever of them executes it:
+// Three implementation tiers exist behind one entry point each: a portable
+// scalar tier, an AVX2 tier and an AVX-512 tier (picked at runtime via
+// CPUID, see common/cpu_features).  All three honour the same arithmetic
+// contract, so a solver's result is bitwise identical whichever of them
+// executes it:
 //
 //   * Element-wise kernels (axpy, scale) round each element independently;
 //     scalar and SIMD agree bitwise by construction.  Both tiers are built
@@ -34,18 +34,9 @@
 //     loops only appear in the element-wise kernels, where per-element
 //     rounding makes order irrelevant.
 //
-// The mixed tier (Dispatch::kMixed) is the exception by design: sparse
-// row kernels that have a float32 path (FusedGatherPlan's row-offset
-// layout) stream float operands and accumulate every product in double
-// (float x float promotes exactly, so only the operand rounding is lost
-// -- ~1e-7 relative per entry).  It is deterministic across threads and
-// run-to-run, but NOT bitwise comparable to the double tiers; dense
-// kernels under kMixed simply run the best double tier
-// (double_tier()).  Solvers that opt in widen their sanity tolerances.
-//
 // The active tier is process-global: CPUID picks the default, the
 // KIBAMRM_KERNELS environment variable ("scalar" / "avx2" / "avx512" /
-// "mixed" / "auto") overrides it at startup, and set_dispatch() pins it
+// "auto") overrides it at startup, and set_dispatch() pins it
 // programmatically (CLI --kernels, BackendOptions::kernel_dispatch,
 // sanitizer CI).
 #pragma once
@@ -64,38 +55,28 @@ enum class Dispatch {
   kScalar = 0,  ///< portable tier, no ISA requirements
   kAvx2 = 1,    ///< AVX2 gather/vector tier (requires AVX2+FMA CPUID bits)
   kAvx512 = 2,  ///< AVX-512 tier (requires the F/DQ/VL/BW CPUID bits)
-  kMixed = 3,   ///< float32-operand sparse rows, double accumulation
 };
 
-/// Best double-precision tier the executing CPU supports (cached CPUID
-/// probe), before any override.  Never returns kMixed -- mixed precision
-/// is a deliberate accuracy trade that must be requested explicitly.
+/// Best tier the executing CPU supports (cached CPUID probe), before any
+/// override.
 Dispatch detected_dispatch();
 
 /// Tier the kernels will actually run: the pinned override if one is set
 /// (set_dispatch or KIBAMRM_KERNELS), else detected_dispatch().
 Dispatch active_dispatch();
 
-/// Double-precision tier a given dispatch executes the dense kernels
-/// with: identity for the double tiers, detected_dispatch() for kMixed
-/// (mixed precision only changes the sparse row kernels that have a
-/// float path).
-Dispatch double_tier(Dispatch dispatch);
-
 /// Pins the active tier process-wide.  Pinning a SIMD tier the CPU lacks
 /// throws InvalidArgument (use apply_dispatch for the forgiving CLI/env
-/// behaviour).  kMixed is always accepted: its sparse kernels have a
-/// scalar implementation and its dense kernels run the detected double
-/// tier.  Thread-safe; takes effect on the next kernel call.
+/// behaviour).  Thread-safe; takes effect on the next kernel call.
 void set_dispatch(Dispatch dispatch);
 
 /// Clears any pin (set_dispatch or KIBAMRM_KERNELS): back to CPUID.
 void clear_dispatch();
 
-/// "scalar" / "avx2" / "avx512" / "mixed".
+/// "scalar" / "avx2" / "avx512".
 std::string_view dispatch_name(Dispatch dispatch);
 
-/// Parses "scalar" / "avx2" / "avx512" / "mixed" / "auto"; "auto" ->
+/// Parses "scalar" / "avx2" / "avx512" / "auto"; "auto" ->
 /// nullopt (no pin), anything else throws InvalidArgument listing the
 /// choices.
 std::optional<Dispatch> parse_dispatch(std::string_view name);
@@ -106,24 +87,6 @@ std::optional<Dispatch> parse_dispatch(std::string_view name);
 /// falls back to the best supported tier and says so once on stderr --
 /// one build's flags/scripts stay portable across heterogeneous fleets.
 void apply_dispatch(std::string_view name);
-
-/// Whether the SIMD tiers also route the sparse row kernels
-/// (FusedGatherPlan, CsrMatrix::multiply_range) through the legacy
-/// four-rows-per-group *within-row* gather implementations.  Default
-/// OFF: hardware vgatherdpd was measured 1.1-1.4x *slower* than the
-/// tuned scalar per-length switch for that access pattern on every
-/// microarchitecture tested (the row kernels are load-bound, and a
-/// gather's fixed uop cost exceeds four indexed scalar loads there).
-/// This knob is now largely superseded by the uniform-segment kernels,
-/// which vectorise *across* rows on reordered chains (lane = row,
-/// contiguous vector loads) and dispatch automatically whenever
-/// segments exist and a SIMD tier is active -- no flag needed.  The
-/// grouped kernels stay implemented, parity-tested and benchmarked for
-/// chains that never produce segments: set_gather_grouping(true) or
-/// KIBAMRM_SIMD_GATHER=on.  Either way the bits are identical; this
-/// knob only selects machine code.
-bool gather_grouping();
-void set_gather_grouping(bool enabled);
 
 /// Blocks covering n elements: ceil(n / kBlockDoubles) (0 for n == 0).
 std::size_t block_count(std::size_t n);

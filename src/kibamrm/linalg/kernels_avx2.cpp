@@ -7,10 +7,10 @@
 //     the order -- the 16-lane structure IS the contract),
 //   * element-wise kernels round per element, and no fused multiply-add
 //     is ever emitted (the contract fixes the intermediate rounding),
-//   * the gather kernels process runs of equal-length rows four at a
-//     time, evaluating each row in the same per-length order as the
-//     scalar switch -- grouping changes which rows share a register,
-//     never the order within a row.
+//   * the uniform-segment kernel vectorises ACROSS rows (lane r = row r),
+//     evaluating each row in the same per-length order as the scalar
+//     switch -- lanes change which rows share a register, never the
+//     order within a row.
 #include "kibamrm/linalg/kernels_internal.hpp"
 
 #if KIBAMRM_HAVE_AVX2_TIER
@@ -114,160 +114,6 @@ void avx2_scale(double* v, double alpha, std::size_t n) {
   for (; i < n; ++i) v[i] *= alpha;
 }
 
-void avx2_csr_multiply_rows(const std::uint32_t* row_ptr,
-                            const std::uint32_t* col_idx,
-                            const double* values, const double* x,
-                            double* out, std::size_t row_begin,
-                            std::size_t row_end) {
-  constexpr std::uint32_t kMaxGroupedLength = 12;
-  std::size_t row = row_begin;
-  while (row < row_end) {
-    const std::uint32_t b = row_ptr[row];
-    const std::uint32_t length = row_ptr[row + 1] - b;
-    // Four consecutive rows of one length: their entries sit at stride
-    // `length`, so columns and values gather with one constant index
-    // vector per run.  Sequential accumulation over the entries matches
-    // the scalar per-row order for every length.
-    if (row + 4 <= row_end && length >= 1 && length <= kMaxGroupedLength &&
-        row_ptr[row + 2] == b + 2 * length &&
-        row_ptr[row + 3] == b + 3 * length &&
-        row_ptr[row + 4] == b + 4 * length) {
-      const __m128i stride =
-          _mm_set_epi32(static_cast<int>(3 * length),
-                        static_cast<int>(2 * length),
-                        static_cast<int>(length), 0);
-      __m256d acc = _mm256_setzero_pd();
-      for (std::uint32_t e = 0; e < length; ++e) {
-        const std::size_t base = b + e;
-        const __m128i cols = _mm_i32gather_epi32(
-            reinterpret_cast<const int*>(col_idx + base), stride, 4);
-        const __m256d xv = _mm256_i32gather_pd(x, cols, 8);
-        const __m256d vv = _mm256_i32gather_pd(values + base, stride, 8);
-        acc = _mm256_add_pd(acc, _mm256_mul_pd(vv, xv));
-      }
-      _mm256_storeu_pd(out + row, acc);
-      row += 4;
-    } else {
-      double acc = 0.0;
-      for (std::uint32_t k = b; k < row_ptr[row + 1]; ++k) {
-        acc += values[k] * x[col_idx[k]];
-      }
-      out[row] = acc;
-      ++row;
-    }
-  }
-}
-
-double avx2_plan_fused_rows(const std::uint8_t* lengths,
-                            const std::uint32_t* entry_start,
-                            const std::int16_t* offsets,
-                            const std::uint16_t* value_ids,
-                            const double* dictionary, const double* x,
-                            double* out, double* accum, double weight,
-                            std::size_t row_begin, std::size_t row_end) {
-  const __m256d sign_mask = _mm256_set1_pd(-0.0);
-  const __m256d weight_v = _mm256_set1_pd(weight);
-  __m256d delta_v = _mm256_setzero_pd();
-  double delta = 0.0;
-  std::size_t k = entry_start[row_begin];
-  std::size_t row = row_begin;
-  while (row < row_end) {
-    const std::uint8_t length = lengths[row];
-    if (row + 4 <= row_end && length >= 1 && length <= 4 &&
-        lengths[row + 1] == length && lengths[row + 2] == length &&
-        lengths[row + 3] == length) {
-      // Entry e of the four rows: dictionary values and column offsets
-      // sit at stride `length`.  Lanes are composed from scalar loads --
-      // measured faster than vgatherdpd for this access pattern (the
-      // hardware gather's fixed uop cost exceeds four indexed loads on
-      // the tested microarchitectures).
-      const auto entry = [&](std::uint32_t e) {
-        const std::size_t k0 = k + e;
-        const std::size_t k1 = k0 + length;
-        const std::size_t k2 = k1 + length;
-        const std::size_t k3 = k2 + length;
-        const __m256d dv = _mm256_set_pd(
-            dictionary[value_ids[k3]], dictionary[value_ids[k2]],
-            dictionary[value_ids[k1]], dictionary[value_ids[k0]]);
-        const __m256d xv = _mm256_set_pd(
-            x[row + 3 + offsets[k3]], x[row + 2 + offsets[k2]],
-            x[row + 1 + offsets[k1]], x[row + offsets[k0]]);
-        return _mm256_mul_pd(dv, xv);
-      };
-      // Combine in the canonical per-length order of the scalar switch.
-      __m256d v = entry(0);
-      if (length == 2) {
-        v = _mm256_add_pd(v, entry(1));
-      } else if (length == 3) {
-        v = _mm256_add_pd(_mm256_add_pd(v, entry(1)), entry(2));
-      } else if (length == 4) {
-        v = _mm256_add_pd(_mm256_add_pd(v, entry(1)),
-                          _mm256_add_pd(entry(2), entry(3)));
-      }
-      _mm256_storeu_pd(out + row, v);
-      if (weight != 0.0) {
-        _mm256_storeu_pd(
-            accum + row,
-            _mm256_add_pd(_mm256_loadu_pd(accum + row),
-                          _mm256_mul_pd(weight_v, v)));
-      }
-      delta_v = _mm256_max_pd(
-          delta_v, _mm256_andnot_pd(
-                       sign_mask,
-                       _mm256_sub_pd(v, _mm256_loadu_pd(x + row))));
-      k += 4 * static_cast<std::size_t>(length);
-      row += 4;
-    } else {
-      // Ragged or long rows: the scalar switch, same orders as
-      // FusedGatherPlan's scalar kernel.
-      double v;
-      switch (length) {
-        case 0:
-          v = 0.0;
-          break;
-        case 1:
-          v = dictionary[value_ids[k]] * x[row + offsets[k]];
-          break;
-        case 2:
-          v = dictionary[value_ids[k]] * x[row + offsets[k]] +
-              dictionary[value_ids[k + 1]] * x[row + offsets[k + 1]];
-          break;
-        case 3:
-          v = dictionary[value_ids[k]] * x[row + offsets[k]] +
-              dictionary[value_ids[k + 1]] * x[row + offsets[k + 1]] +
-              dictionary[value_ids[k + 2]] * x[row + offsets[k + 2]];
-          break;
-        case 4:
-          v = (dictionary[value_ids[k]] * x[row + offsets[k]] +
-               dictionary[value_ids[k + 1]] * x[row + offsets[k + 1]]) +
-              (dictionary[value_ids[k + 2]] * x[row + offsets[k + 2]] +
-               dictionary[value_ids[k + 3]] * x[row + offsets[k + 3]]);
-          break;
-        default: {
-          double s0 = 0.0;
-          double s1 = 0.0;
-          std::uint8_t j = 0;
-          for (; j + 2 <= length; j += 2) {
-            s0 += dictionary[value_ids[k + j]] * x[row + offsets[k + j]];
-            s1 += dictionary[value_ids[k + j + 1]] *
-                  x[row + offsets[k + j + 1]];
-          }
-          if (j < length) {
-            s0 += dictionary[value_ids[k + j]] * x[row + offsets[k + j]];
-          }
-          v = s0 + s1;
-        }
-      }
-      out[row] = v;
-      if (weight != 0.0) accum[row] += weight * v;
-      delta = std::max(delta, std::abs(v - x[row]));
-      k += length;
-      ++row;
-    }
-  }
-  return std::max(delta, lane_max(delta_v));
-}
-
 namespace {
 
 /// Canonical per-length combine of per-entry product vectors, one row per
@@ -286,19 +132,15 @@ inline __m256d combine_entries(std::uint32_t length, const Entry& entry) {
   return v;
 }
 
-/// Scalar remainder of a uniform run (< 4 rows), canonical order;
-/// templated over double (identity promotion) or float (each product
-/// promoted exactly to double).
-template <typename Value>
+/// Scalar remainder of a uniform run (< 4 rows), canonical order.
 inline double uniform_row_scalar(std::uint32_t length,
                                  const std::int16_t* offsets,
                                  const std::uint16_t* ids_t,
                                  std::size_t seg_rows, std::size_t r,
-                                 const Value* dictionary, const Value* x,
+                                 const double* dictionary, const double* x,
                                  std::size_t row) {
   const auto term = [&](std::uint32_t e) {
-    return static_cast<double>(dictionary[ids_t[e * seg_rows + r]]) *
-           static_cast<double>(x[row + offsets[e]]);
+    return dictionary[ids_t[e * seg_rows + r]] * x[row + offsets[e]];
   };
   switch (length) {
     case 1:
@@ -358,52 +200,6 @@ double avx2_plan_uniform_rows(std::uint32_t length,
     out[row] = v;
     if (weight != 0.0) accum[row] += weight * v;
     delta = std::max(delta, std::abs(v - x[row]));
-  }
-  return std::max(delta, lane_max(delta_v));
-}
-
-double avx2_plan_uniform_rows_mixed(
-    std::uint32_t length, const std::int16_t* offsets,
-    const std::uint16_t* ids_t, std::size_t seg_rows,
-    std::size_t local_begin, const float* dictionary, const float* x,
-    float* out, double* accum, double weight, std::size_t row_begin,
-    std::size_t row_end) {
-  const __m256d sign_mask = _mm256_set1_pd(-0.0);
-  const __m256d weight_v = _mm256_set1_pd(weight);
-  __m256d delta_v = _mm256_setzero_pd();
-  double delta = 0.0;
-  std::size_t row = row_begin;
-  std::size_t r = local_begin;
-  for (; row + 4 <= row_end; row += 4, r += 4) {
-    const auto entry = [&](std::uint32_t e) {
-      const std::uint16_t* ids = ids_t + e * seg_rows + r;
-      // float32 operands halve the streamed bytes; promotion to double
-      // before the multiply keeps every product exact.
-      const __m128 dvf =
-          _mm_set_ps(dictionary[ids[3]], dictionary[ids[2]],
-                     dictionary[ids[1]], dictionary[ids[0]]);
-      const __m256d dv = _mm256_cvtps_pd(dvf);
-      const __m256d xv =
-          _mm256_cvtps_pd(_mm_loadu_ps(x + row + offsets[e]));
-      return _mm256_mul_pd(dv, xv);
-    };
-    const __m256d v = combine_entries(length, entry);
-    _mm_storeu_ps(out + row, _mm256_cvtpd_ps(v));
-    if (weight != 0.0) {
-      _mm256_storeu_pd(accum + row,
-                       _mm256_add_pd(_mm256_loadu_pd(accum + row),
-                                     _mm256_mul_pd(weight_v, v)));
-    }
-    const __m256d xr = _mm256_cvtps_pd(_mm_loadu_ps(x + row));
-    delta_v = _mm256_max_pd(
-        delta_v, _mm256_andnot_pd(sign_mask, _mm256_sub_pd(v, xr)));
-  }
-  for (; row < row_end; ++row, ++r) {
-    const double v = uniform_row_scalar(length, offsets, ids_t, seg_rows, r,
-                                        dictionary, x, row);
-    out[row] = static_cast<float>(v);
-    if (weight != 0.0) accum[row] += weight * v;
-    delta = std::max(delta, std::abs(v - static_cast<double>(x[row])));
   }
   return std::max(delta, lane_max(delta_v));
 }

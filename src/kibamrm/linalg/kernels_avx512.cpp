@@ -13,12 +13,12 @@
 //     each lane executes the scalar per-length order unchanged -- eight
 //     rows share registers, no row's arithmetic is reassociated.
 //
-// Dictionary values are fetched with vgatherdpd: unlike the general
-// gather pattern PR 5 measured (and shelved) on AVX2, the uniform-run
-// kernel gathers from a dictionary of a few thousand distinct rates that
-// stays cache-resident, where the hardware gather's fixed cost is
-// amortised over eight lanes.  The x operands need no gather at all --
-// identical column offsets across the run make them contiguous loads.
+// Dictionary values are fetched with vgatherdpd: unlike a general
+// within-row gather, the uniform-run kernel gathers from a dictionary of a
+// few thousand distinct rates that stays cache-resident, where the
+// hardware gather's fixed cost is amortised over eight lanes.  The x
+// operands need no gather at all -- identical column offsets across the
+// run make them contiguous loads.
 #include "kibamrm/linalg/kernels_internal.hpp"
 
 #if KIBAMRM_HAVE_AVX512_TIER
@@ -91,18 +91,14 @@ inline __m512d combine_entries512(std::uint32_t length, const Entry& entry) {
 }
 
 /// Scalar remainder of a uniform run (< 8 rows), canonical order.
-/// Templated over the operand type: double (identity promotion) or float
-/// (each product promoted exactly to double).
-template <typename Value>
 inline double uniform_row_scalar(std::uint32_t length,
                                  const std::int16_t* offsets,
                                  const std::uint16_t* ids_t,
                                  std::size_t seg_rows, std::size_t r,
-                                 const Value* dictionary, const Value* x,
+                                 const double* dictionary, const double* x,
                                  std::size_t row) {
   const auto term = [&](std::uint32_t e) {
-    return static_cast<double>(dictionary[ids_t[e * seg_rows + r]]) *
-           static_cast<double>(x[row + offsets[e]]);
+    return dictionary[ids_t[e * seg_rows + r]] * x[row + offsets[e]];
   };
   switch (length) {
     case 1:
@@ -204,52 +200,6 @@ double avx512_plan_uniform_rows(std::uint32_t length,
     out[row] = v;
     if (weight != 0.0) accum[row] += weight * v;
     delta = std::max(delta, std::abs(v - x[row]));
-  }
-  return std::max(delta, _mm512_reduce_max_pd(delta_v));
-}
-
-double avx512_plan_uniform_rows_mixed(
-    std::uint32_t length, const std::int16_t* offsets,
-    const std::uint16_t* ids_t, std::size_t seg_rows,
-    std::size_t local_begin, const float* dictionary, const float* x,
-    float* out, double* accum, double weight, std::size_t row_begin,
-    std::size_t row_end) {
-  const __m512d sign_mask = _mm512_set1_pd(-0.0);
-  const __m512d weight_v = _mm512_set1_pd(weight);
-  __m512d delta_v = _mm512_setzero_pd();
-  double delta = 0.0;
-  std::size_t row = row_begin;
-  std::size_t r = local_begin;
-  for (; row + 8 <= row_end; row += 8, r += 8) {
-    const auto entry = [&](std::uint32_t e) {
-      const __m128i ids16 = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(ids_t + e * seg_rows + r));
-      const __m256i idx = _mm256_cvtepu16_epi32(ids16);
-      // float32 operands halve the streamed bytes; the promotion to
-      // double before the multiply keeps every product exact.
-      const __m256 dvf = _mm256_i32gather_ps(dictionary, idx, 4);
-      const __m512d dv = _mm512_cvtps_pd(dvf);
-      const __m512d xv =
-          _mm512_cvtps_pd(_mm256_loadu_ps(x + row + offsets[e]));
-      return _mm512_mul_pd(dv, xv);
-    };
-    const __m512d v = combine_entries512(length, entry);
-    _mm256_storeu_ps(out + row, _mm512_cvtpd_ps(v));
-    if (weight != 0.0) {
-      _mm512_storeu_pd(accum + row,
-                       _mm512_add_pd(_mm512_loadu_pd(accum + row),
-                                     _mm512_mul_pd(weight_v, v)));
-    }
-    const __m512d xr = _mm512_cvtps_pd(_mm256_loadu_ps(x + row));
-    delta_v = _mm512_max_pd(
-        delta_v, _mm512_andnot_pd(sign_mask, _mm512_sub_pd(v, xr)));
-  }
-  for (; row < row_end; ++row, ++r) {
-    const double v = uniform_row_scalar(length, offsets, ids_t, seg_rows, r,
-                                        dictionary, x, row);
-    out[row] = static_cast<float>(v);
-    if (weight != 0.0) accum[row] += weight * v;
-    delta = std::max(delta, std::abs(v - static_cast<double>(x[row])));
   }
   return std::max(delta, _mm512_reduce_max_pd(delta_v));
 }

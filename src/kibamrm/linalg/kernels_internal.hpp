@@ -6,10 +6,7 @@
 // Every avx2_*/avx512_* double-precision function implements exactly the
 // canonical arithmetic order documented at its scalar counterpart -- the
 // bitwise-parity tests in tests/test_linalg_kernels.cpp hold the tiers
-// together.  The *_mixed functions implement the mixed-precision contract
-// (float operands, every product promoted to double before accumulation
-// in the canonical order); they are deterministic but not bitwise
-// comparable to the double tiers.
+// together.
 #pragma once
 
 #include <cstddef>
@@ -40,26 +37,6 @@ void avx2_axpy(double alpha, const double* x, double* y, std::size_t n);
 
 void avx2_scale(double* v, double alpha, std::size_t n);
 
-/// CSR gather rows [row_begin, row_end): out[row] = dot(row, x) in the
-/// sequential per-row order of CsrMatrix::multiply_range.
-void avx2_csr_multiply_rows(const std::uint32_t* row_ptr,
-                            const std::uint32_t* col_idx,
-                            const double* values, const double* x,
-                            double* out, std::size_t row_begin,
-                            std::size_t row_end);
-
-/// Fused uniformisation step over the compressed row-offset plan layout
-/// (per-row canonical order of FusedGatherPlan::multiply_fused_range);
-/// returns the range-local sup-norm delta.  `entry_start` indexes the
-/// first stored entry of each row.
-double avx2_plan_fused_rows(const std::uint8_t* lengths,
-                            const std::uint32_t* entry_start,
-                            const std::int16_t* offsets,
-                            const std::uint16_t* value_ids,
-                            const double* dictionary, const double* x,
-                            double* out, double* accum, double weight,
-                            std::size_t row_begin, std::size_t row_end);
-
 /// Fused uniformisation step over one uniform segment: rows
 /// [row_begin, row_end) all store `length` entries (1..4) at the shared
 /// column offsets `offsets[0..length)`, so x loads are contiguous across
@@ -75,16 +52,6 @@ double avx2_plan_uniform_rows(std::uint32_t length,
                               const double* dictionary, const double* x,
                               double* out, double* accum, double weight,
                               std::size_t row_begin, std::size_t row_end);
-
-/// Mixed-precision uniform segment: float operands, products promoted to
-/// double and accumulated in the canonical per-length order; out is
-/// float, accum stays double.
-double avx2_plan_uniform_rows_mixed(
-    std::uint32_t length, const std::int16_t* offsets,
-    const std::uint16_t* ids_t, std::size_t seg_rows,
-    std::size_t local_begin, const float* dictionary, const float* x,
-    float* out, double* accum, double weight, std::size_t row_begin,
-    std::size_t row_end);
 
 #endif  // KIBAMRM_HAVE_AVX2_TIER
 
@@ -110,13 +77,6 @@ double avx512_plan_uniform_rows(std::uint32_t length,
                                 const double* dictionary, const double* x,
                                 double* out, double* accum, double weight,
                                 std::size_t row_begin, std::size_t row_end);
-
-double avx512_plan_uniform_rows_mixed(
-    std::uint32_t length, const std::int16_t* offsets,
-    const std::uint16_t* ids_t, std::size_t seg_rows,
-    std::size_t local_begin, const float* dictionary, const float* x,
-    float* out, double* accum, double weight, std::size_t row_begin,
-    std::size_t row_end);
 
 #endif  // KIBAMRM_HAVE_AVX512_TIER
 

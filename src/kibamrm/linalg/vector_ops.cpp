@@ -64,12 +64,14 @@ double l1_norm(const std::vector<double>& v) {
   return total;
 }
 
-void normalize_probability(std::vector<double>& v) {
+double normalize_probability(std::vector<double>& v) {
   const double total = sum(v);
   if (!(total > 0.0)) {
     throw NumericalError("normalize_probability: vector sum is not positive");
   }
-  scale(v, 1.0 / total);
+  const double alpha = 1.0 / total;
+  scale(v, alpha);
+  return alpha;
 }
 
 bool is_probability_vector(const std::vector<double>& v, double eps) {

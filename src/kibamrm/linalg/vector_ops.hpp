@@ -36,7 +36,7 @@ double l1_norm(const std::vector<double>& v);
 /// Scales v so its entries sum to 1; throws NumericalError if the sum is
 /// not positive.  Used to re-normalise probability vectors after long
 /// uniformisation runs (guards against drift, not against bugs).
-void normalize_probability(std::vector<double>& v);
+double normalize_probability(std::vector<double>& v);
 
 /// True iff every entry lies in [-eps, 1+eps] and the sum is within eps of 1.
 bool is_probability_vector(const std::vector<double>& v, double eps = 1e-9);

@@ -1,87 +1,184 @@
 #include "kibamrm/markov/uniformization.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "kibamrm/common/error.hpp"
-#include "kibamrm/linalg/kernels.hpp"
+#include "kibamrm/engine/gather_executor.hpp"
+#include "kibamrm/engine/plan_cache.hpp"
 #include "kibamrm/linalg/vector_ops.hpp"
-#include "kibamrm/markov/fox_glynn.hpp"
 
 namespace kibamrm::markov {
 
-TransientSolver::TransientSolver(const Ctmc& chain, TransientOptions options)
-    : chain_(chain),
-      options_(options),
-      p_(1, 1),
-      fused_pt_(1, 1),
-      rate_(options.uniformization_rate) {
-  KIBAMRM_REQUIRE(options_.epsilon > 0.0 && options_.epsilon < 1.0,
-                  "transient epsilon must lie in (0,1)");
-  if (rate_ == 0.0) {
-    rate_ = 1.02 * chain_.max_exit_rate();
-    if (rate_ == 0.0) rate_ = 1.0;  // generator is all-absorbing
-  }
-  KIBAMRM_REQUIRE(rate_ * (1.0 + 1e-12) >= chain_.max_exit_rate(),
-                  "uniformization rate below maximal exit rate");
-  p_ = chain_.generator().uniformized(rate_);
-
-  if (options_.fused_kernels) {
-    // The compacted gather structures depend on the initial distribution
-    // and are built lazily by prepare_fused() on the first solve.
-    return;
-  }
-
-  // Partition rows once: absorbing states uniformise to exact unit-diagonal
-  // rows, which the baseline scatter kernel handles without touching the
-  // CSR structure (see CsrMatrix::left_multiply_partitioned).
-  identity_rows_ = p_.identity_rows();
-  active_rows_.reserve(p_.rows() - identity_rows_.size());
-  std::size_t next_identity = 0;
-  for (std::size_t row = 0; row < p_.rows(); ++row) {
-    if (next_identity < identity_rows_.size() &&
-        identity_rows_[next_identity] == row) {
-      ++next_identity;
-    } else {
-      active_rows_.push_back(static_cast<std::uint32_t>(row));
-    }
-  }
+void VectorStepExecutor::load(const std::vector<double>& current,
+                              double weight0) {
+  power_ = current;
+  next_.resize(current.size());
+  accum_.assign(current.size(), 0.0);
+  if (weight0 != 0.0) linalg::axpy(weight0, current, accum_);
 }
 
-void TransientSolver::prepare_fused(const std::vector<double>& initial) {
+void VectorStepExecutor::fold(double residual) {
+  if (residual > 0.0) linalg::axpy(residual, power_, accum_);
+}
+
+void VectorStepExecutor::read_back(std::vector<double>& current) {
+  current.swap(accum_);
+}
+
+UniformizationDriver::UniformizationDriver(TransientOptions options)
+    : options_(options) {
+  KIBAMRM_REQUIRE(options_.epsilon > 0.0 && options_.epsilon < 1.0,
+                  "transient epsilon must lie in (0,1)");
+}
+
+double UniformizationDriver::select_rate(const Ctmc& chain, double requested) {
+  double rate = requested;
+  if (rate == 0.0) {
+    rate = 1.02 * chain.max_exit_rate();
+    if (rate == 0.0) rate = 1.0;  // generator is all-absorbing
+  }
+  KIBAMRM_REQUIRE(rate * (1.0 + 1e-12) >= chain.max_exit_rate(),
+                  "uniformization rate below maximal exit rate");
+  return rate;
+}
+
+std::vector<std::vector<double>> UniformizationDriver::run(
+    StepExecutor& executor, double rate,
+    std::span<const std::uint32_t> reachable,
+    const std::vector<double>& initial, const std::vector<double>& times,
+    const PointCallback& on_point, TransientStats& stats) {
+  stats.iterations = 0;
+  stats.iterations_saved = 0;
+  stats.steady_state_hits = 0;
+  stats.time_points = times.size();
+  stats.uniformization_rate = rate;
+  stats.active_states = reachable.size();
+  const std::uint64_t windows_computed_before = plan_.windows_computed();
+  const std::uint64_t windows_reused_before = plan_.windows_reused();
+  const bool detect = options_.steady_state_detection;
+  // The detection error is charged against the same per-increment budget
+  // as the Fox-Glynn truncation, so the overall guarantee keeps its order.
+  const double threshold = options_.epsilon / 2.0;
+
+  std::vector<std::vector<double>> results;
+  if (options_.collect_results) results.reserve(times.size());
+  current_.resize(reachable.size());
+  for (std::size_t i = 0; i < reachable.size(); ++i) {
+    current_[i] = initial[reachable[i]];
+  }
+  // Unreachable entries are zero forever, so only the compacted entries
+  // of the emission buffer are ever rewritten.
+  full_point_.assign(initial.size(), 0.0);
+
+  double current_time = 0.0;
+  for (std::size_t idx = 0; idx < times.size(); ++idx) {
+    const double dt = times[idx] - current_time;
+    if (dt > 0.0) {
+      const std::shared_ptr<const PoissonWindow> window_ptr =
+          plan_.window(rate * dt, options_.epsilon);
+      const PoissonWindow& window = *window_ptr;
+      // n = 0 term: current == pi(t_k) exactly.
+      executor.load(current_, window.left == 0 ? window.weight(0) : 0.0);
+      std::uint64_t calm_steps = 0;  // consecutive steps inside the budget
+      for (std::uint64_t n = 1; n <= window.right; ++n) {
+        const double weight = n >= window.left ? window.weight(n) : 0.0;
+        const bool want_delta = detect && n < window.right;
+        const double delta = executor.step(weight, want_delta);
+        ++stats.iterations;
+        // Steady-state / absorption short circuit: once the per-step
+        // change can no longer move the result beyond the budget --
+        // (right - n) * delta <= threshold, i.e. a triangle inequality
+        // over the remaining steps assuming the per-step changes keep
+        // shrinking -- the whole residual Poisson tail collapses onto the
+        // converged vector.  Two consecutive in-budget steps guard
+        // against a transient lull; the bound is strictly more
+        // conservative than the usual absolute cut delta <= eps/8 (which
+        // measurably overruns the 10 eps agreement budget on the Fig. 8
+        // chains).  Every executor reduces its delta by max, which is
+        // partition-independent, so the decision is identical at every
+        // thread, tile and shard count.
+        if (want_delta &&
+            static_cast<double>(window.right - n) * delta <= threshold) {
+          if (++calm_steps >= 2) {
+            double residual = 0.0;  // remaining tail mass, summed directly
+            for (std::uint64_t m = n + 1; m <= window.right; ++m) {
+              residual += window.weight(m);
+            }
+            executor.fold(residual);
+            stats.iterations_saved += window.right - n;
+            ++stats.steady_state_hits;
+            break;
+          }
+        } else {
+          calm_steps = 0;
+        }
+      }
+      executor.read_back(current_);
+      if (options_.renormalize) {
+        executor.scale(linalg::normalize_probability(current_));
+      }
+      current_time = times[idx];
+    }
+    if (options_.collect_results || on_point) {
+      for (std::size_t i = 0; i < reachable.size(); ++i) {
+        full_point_[reachable[i]] = current_[i];
+      }
+      if (options_.collect_results) results.push_back(full_point_);
+      if (on_point) on_point(idx, times[idx], full_point_);
+    }
+  }
+  stats.windows_computed = plan_.windows_computed() - windows_computed_before;
+  stats.windows_reused = plan_.windows_reused() - windows_reused_before;
+  return results;
+}
+
+TransientSolver::TransientSolver(const Ctmc& chain, TransientOptions options)
+    : chain_(chain),
+      rate_(UniformizationDriver::select_rate(chain,
+                                              options.uniformization_rate)),
+      driver_(options),
+      executor_(std::make_unique<engine::GatherExecutor>(nullptr)) {}
+
+TransientSolver::~TransientSolver() = default;
+
+std::vector<std::vector<double>> TransientSolver::solve(
+    const std::vector<double>& initial, const std::vector<double>& times,
+    const PointCallback& on_point) {
+  check_transient_arguments(chain_, initial, times);
+
   // The closure of a subset is a subset of the closure, so the cached
-  // machinery stays valid whenever the new support is inside it -- the
-  // common case for solvers reused across initials of the same chain.
-  bool covered = !reachable_.empty();
+  // plan stays valid whenever the new support is inside it -- the common
+  // case for solvers reused across initials of the same chain.
+  bool covered = plan_ != nullptr;
   std::vector<std::uint32_t> seeds;
   for (std::size_t i = 0; i < initial.size(); ++i) {
     if (initial[i] != 0.0) {
       seeds.push_back(static_cast<std::uint32_t>(i));
-      if (covered && !reachable_mask_[i]) covered = false;
+      covered = covered && std::binary_search(plan_->reachable.begin(),
+                                              plan_->reachable.end(), i);
     }
   }
-  if (covered) return;
-  // Grow monotonically so earlier initials stay covered too.
-  seeds.insert(seeds.end(), reachable_.begin(), reachable_.end());
-  std::sort(seeds.begin(), seeds.end());
-  seeds.erase(std::unique(seeds.begin(), seeds.end()), seeds.end());
-  reachable_ = p_.reachable_rows(seeds);
-  reachable_mask_.assign(p_.rows(), 0);
-  for (const std::uint32_t row : reachable_) reachable_mask_[row] = 1;
-  fused_pt_ = p_.transposed_submatrix(reachable_);
-  fused_nonzeros_ = fused_pt_.nonzeros();
-  fused_structure_ = linalg::structure_stats(fused_pt_);
-  gather_plan_ = linalg::FusedGatherPlan::build(fused_pt_);
-  if (gather_plan_) {
-    fused_pt_ = linalg::CsrMatrix(1, 1);  // packed layout replaces the CSR
+  if (!covered) {
+    if (plan_) {
+      seeds.insert(seeds.end(), plan_->reachable.begin(),
+                   plan_->reachable.end());
+      std::sort(seeds.begin(), seeds.end());
+      seeds.erase(std::unique(seeds.begin(), seeds.end()), seeds.end());
+    }
+    plan_ = engine::build_cached_gather_plan(chain_.generator(), rate_, seeds);
+    executor_->bind(plan_);
   }
+
+  stats_ = TransientStats{};
+  plan_->describe(stats_);
+  return driver_.run(*executor_, rate_, plan_->reachable, initial, times,
+                     on_point, stats_);
 }
 
-std::vector<std::vector<double>> TransientSolver::solve(
-    const std::vector<double>& initial, const std::vector<double>& times,
-    const std::function<void(std::size_t, double, const std::vector<double>&)>&
-        on_point) {
-  KIBAMRM_REQUIRE(initial.size() == chain_.state_count(),
+void check_transient_arguments(const Ctmc& chain,
+                               const std::vector<double>& initial,
+                               const std::vector<double>& times) {
+  KIBAMRM_REQUIRE(initial.size() == chain.state_count(),
                   "initial distribution has wrong dimension");
   KIBAMRM_REQUIRE(linalg::is_probability_vector(initial, 1e-6),
                   "initial vector is not a probability distribution");
@@ -89,175 +186,6 @@ std::vector<std::vector<double>> TransientSolver::solve(
                   "time points must be sorted ascending");
   KIBAMRM_REQUIRE(times.empty() || times.front() >= 0.0,
                   "time points must be non-negative");
-
-  stats_ = TransientStats{};
-  stats_.uniformization_rate = rate_;
-  stats_.time_points = times.size();
-  const std::uint64_t windows_computed_before = plan_.windows_computed();
-  const std::uint64_t windows_reused_before = plan_.windows_reused();
-
-  const bool fused = options_.fused_kernels;
-  if (fused) prepare_fused(initial);
-  // The mixed tier applies only where a float32 kernel exists (the
-  // row-offset gather plan); chains on the CSR or column-delta fallback
-  // silently run the double kernels -- "mixed" is a throughput hint, not
-  // a semantic switch.
-  const bool mixed =
-      fused && gather_plan_ && gather_plan_->mixed_supported() &&
-      linalg::kernels::active_dispatch() == linalg::kernels::Dispatch::kMixed;
-  const bool detect = options_.steady_state_detection && fused;
-  const double threshold = options_.steady_state_threshold > 0.0
-                               ? options_.steady_state_threshold
-                               : options_.epsilon / 2.0;
-
-  std::vector<std::vector<double>> results;
-  results.reserve(times.size());
-
-  // The fused loop runs entirely in the compacted reachable space; the
-  // baseline loop in the full space.
-  stats_.active_states = fused ? reachable_.size() : initial.size();
-  stats_.active_nonzeros = fused ? fused_nonzeros_ : p_.nonzeros();
-  if (fused) {
-    stats_.matrix_bandwidth = fused_structure_.bandwidth;
-    stats_.groupable_rows = fused_structure_.groupable_rows;
-    stats_.longest_uniform_run = fused_structure_.longest_uniform_run;
-    stats_.diagonal_rows = fused_structure_.diagonal_rows;
-    stats_.longest_diagonal_run = fused_structure_.longest_diagonal_run;
-  }
-
-  // power_ holds pi(t_k) P^n during an increment; it is (re)filled from
-  // `current` at each increment, so only the other scratch needs sizing.
-  std::vector<double> current;  // pi(t_k), in loop space
-  if (fused) {
-    current.resize(reachable_.size());
-    for (std::size_t i = 0; i < reachable_.size(); ++i) {
-      current[i] = initial[reachable_[i]];
-    }
-    // Emission buffer: unreachable entries are zero forever, so only the
-    // compacted entries are ever rewritten.
-    full_point_.assign(initial.size(), 0.0);
-  } else {
-    current = initial;
-  }
-  next_.assign(current.size(), 0.0);
-  accum_.assign(current.size(), 0.0);
-  double current_time = 0.0;
-
-  // Expands the compacted loop vector into full_point_ for results and
-  // callbacks; pass-through in baseline mode.
-  const auto emit_view =
-      [&](const std::vector<double>& point) -> const std::vector<double>& {
-    if (!fused) return point;
-    for (std::size_t i = 0; i < reachable_.size(); ++i) {
-      full_point_[reachable_[i]] = point[i];
-    }
-    return full_point_;
-  };
-
-  for (std::size_t idx = 0; idx < times.size(); ++idx) {
-    const double dt = times[idx] - current_time;
-    if (dt > 0.0) {
-      const double lambda = rate_ * dt;
-      const std::shared_ptr<const PoissonWindow> window_ptr =
-          plan_.window(lambda, options_.epsilon);
-      const PoissonWindow& window = *window_ptr;
-      linalg::fill(accum_, 0.0);
-      if (mixed) {
-        power_f_.resize(current.size());
-        next_f_.resize(current.size());
-        for (std::size_t i = 0; i < current.size(); ++i) {
-          power_f_[i] = static_cast<float>(current[i]);
-        }
-      } else {
-        power_ = current;
-      }
-      // n = 0 term (current == pi(t_k) exactly; in mixed mode the double
-      // vector feeds the accumulator so the n = 0 term is full precision).
-      if (window.left == 0) {
-        linalg::axpy(window.weight(0), current, accum_);
-      }
-      std::uint64_t calm_steps = 0;  // consecutive steps inside the budget
-      for (std::uint64_t n = 1; n <= window.right; ++n) {
-        const double weight = n >= window.left ? window.weight(n) : 0.0;
-        double delta = 0.0;
-        if (mixed) {
-          delta = gather_plan_->multiply_fused_range_mixed(
-              power_f_, next_f_, accum_, weight, 0, gather_plan_->rows());
-          power_f_.swap(next_f_);
-        } else if (fused) {
-          delta = gather_plan_
-                      ? gather_plan_->multiply_fused_range(
-                            power_, next_, accum_, weight, 0,
-                            gather_plan_->rows())
-                      : fused_pt_.multiply_fused_range(power_, next_, accum_,
-                                                       weight, 0,
-                                                       fused_pt_.rows());
-          power_.swap(next_);
-        } else {
-          p_.left_multiply_partitioned(power_, next_, active_rows_,
-                                       identity_rows_);
-          power_.swap(next_);
-          if (weight != 0.0) {
-            linalg::axpy(weight, power_, accum_);
-          }
-        }
-        ++stats_.iterations;
-        // Steady-state / absorption short circuit: once the per-step
-        // change can no longer move the result beyond the budget --
-        // (right - n) * delta <= threshold, i.e. a triangle inequality
-        // over the remaining steps assuming the per-step changes keep
-        // shrinking -- the whole residual Poisson tail collapses onto the
-        // converged vector.  The non-amplification assumption is the
-        // classic steady-state-detection heuristic (a uniformised P is
-        // row-stochastic, which does not contract the sup norm in
-        // general); two consecutive in-budget steps guard against a
-        // transient lull, the bound is strictly more conservative than
-        // the usual absolute cut delta <= eps/8 (which measurably
-        // overruns the 10 eps agreement budget on the Fig. 8 chains),
-        // and the detection-on/off agreement tests pin the accuracy.
-        // Keep this block in lockstep with the parallel backend
-        // (engine/parallel_backend.cpp) -- the serial/parallel bitwise
-        // and iteration-equality tests fail on any divergence.
-        if (detect && n < window.right &&
-            static_cast<double>(window.right - n) * delta <= threshold) {
-          if (++calm_steps >= 2) {
-            double residual = 0.0;  // remaining tail mass, summed directly
-            for (std::uint64_t m = n + 1; m <= window.right; ++m) {
-              residual += window.weight(m);
-            }
-            if (residual > 0.0) {
-              if (mixed) {
-                for (std::size_t i = 0; i < accum_.size(); ++i) {
-                  accum_[i] +=
-                      residual * static_cast<double>(power_f_[i]);
-                }
-              } else {
-                linalg::axpy(residual, power_, accum_);
-              }
-            }
-            stats_.iterations_saved += window.right - n;
-            ++stats_.steady_state_hits;
-            break;
-          }
-        } else {
-          calm_steps = 0;
-        }
-      }
-      current.swap(accum_);
-      if (options_.renormalize) {
-        linalg::normalize_probability(current);
-      }
-      current_time = times[idx];
-    }
-    if (options_.collect_results || on_point) {
-      const std::vector<double>& point = emit_view(current);
-      if (options_.collect_results) results.push_back(point);
-      if (on_point) on_point(idx, times[idx], point);
-    }
-  }
-  stats_.windows_computed = plan_.windows_computed() - windows_computed_before;
-  stats_.windows_reused = plan_.windows_reused() - windows_reused_before;
-  return results;
 }
 
 std::vector<double> transient_distribution(const Ctmc& chain,

@@ -12,24 +12,29 @@
 // costs about as many matrix-vector products as its final time point alone
 // (q * t_max plus a Fox-Glynn window per point).
 //
-// Three hot-loop optimisations stack on top (all on by default, each
-// toggleable for A/B measurement): the fused kernel folds the
-// Poisson-weighted accumulation and the steady-state delta into the spmv's
-// finishing sweep, steady-state detection short-circuits the window tail
-// once the power iteration has converged (the dominant win on long-horizon
-// absorbing chains), and Fox-Glynn windows are memoised per (lambda,
-// epsilon) so uniform time grids compute one window per curve.
+// Every uniformisation engine runs the one loop in UniformizationDriver: it
+// owns the Poisson windows (memoised per (lambda, epsilon), so uniform time
+// grids compute one window per curve), the per-step weights, steady-state
+// detection with its residual-tail fold, iteration accounting,
+// renormalisation and point emission.  Engines differ only in how one DTMC
+// step executes -- inline, sharded over a thread pool, streamed from disk
+// tiles or split across worker processes -- which they supply as a
+// StepExecutor.  TransientSolver is the driver plus the inline executor.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <optional>
+#include <memory>
+#include <span>
 #include <vector>
 
-#include "kibamrm/linalg/fused_gather.hpp"
-#include "kibamrm/linalg/permutation.hpp"
 #include "kibamrm/markov/ctmc.hpp"
 #include "kibamrm/markov/fox_glynn.hpp"
+
+namespace kibamrm::engine {
+struct CachedGatherPlan;  // engine/plan_cache.hpp
+class GatherExecutor;     // engine/gather_executor.hpp
+}  // namespace kibamrm::engine
 
 namespace kibamrm::markov {
 
@@ -46,29 +51,20 @@ struct TransientOptions {
   /// When false, solve() returns an empty vector: callers that stream
   /// points through the callback skip the time_points * states copy.
   bool collect_results = true;
-  /// Use the fused spmv+accumulate kernel (one finishing sweep per
-  /// iteration instead of a separate axpy, and the steady-state delta for
-  /// free).  False selects the pre-fusion loop, kept as the measured
-  /// baseline for the perf gates and as a cross-check.
-  bool fused_kernels = true;
   /// Steady-state / absorption early termination: once
-  /// (window.right - n) * ||pi P^n - pi P^(n-1)||_inf <= threshold on two
+  /// (window.right - n) * ||pi P^n - pi P^(n-1)||_inf <= epsilon / 2 on two
   /// consecutive steps, the rest of the window is short-circuited by
   /// adding the entire residual tail mass times the converged vector.
   /// This is the classic PRISM/MRMC steady-state heuristic with a
-  /// budgeted bound in place of the usual absolute cut: exact when the
-  /// per-step changes keep shrinking (they do once the chain has settled;
-  /// a row-stochastic P does not contract the sup norm in general, which
-  /// is why the consecutive-step guard and the detection-on/off agreement
-  /// tests back the bound empirically).  On long horizons of absorbing
-  /// chains (the battery-empty tail of Fig. 8) this skips most of the
-  /// window.  Requires fused_kernels (the delta is a by-product of the
-  /// fused sweep); ignored when fused_kernels is false.
+  /// budgeted bound in place of the usual absolute cut, charged against
+  /// the same per-increment budget as the Fox-Glynn truncation: exact when
+  /// the per-step changes keep shrinking (they do once the chain has
+  /// settled; a row-stochastic P does not contract the sup norm in
+  /// general, which is why the consecutive-step guard and the
+  /// detection-on/off agreement tests back the bound empirically).  On
+  /// long horizons of absorbing chains (the battery-empty tail of Fig. 8)
+  /// this skips most of the window.
   bool steady_state_detection = true;
-  /// Detection threshold; 0 selects epsilon / 2, charging the detection
-  /// error against the same per-increment budget as the Fox-Glynn
-  /// truncation so the overall guarantee keeps its order.
-  double steady_state_threshold = 0.0;
 };
 
 /// Cost counters for complexity experiments (Sec. 5.3 / Sec. 6.1 quote
@@ -88,19 +84,15 @@ struct TransientStats {
   std::uint64_t windows_computed = 0;
   std::uint64_t windows_reused = 0;
   /// States inside the reachable closure of the initial distribution --
-  /// the dimension the fused loop actually iterates.  Equals the full
-  /// state count for the baseline loop (no compaction) and for chains
-  /// whose closure is everything.
+  /// the dimension the loop actually iterates.
   std::uint64_t active_states = 0;
   /// Stored entries of the matrix the loop actually iterates (the
-  /// compacted transpose in fused mode, the full uniformised P in
-  /// baseline mode) -- the honest per-iteration work unit for throughput
-  /// metrics.
+  /// compacted transpose) -- the honest per-iteration work unit for
+  /// throughput metrics.
   std::uint64_t active_nonzeros = 0;
-  /// Structure of the iterated matrix (fused mode; 0 in baseline mode):
-  /// maximal |col - row|, rows inside >= 4-row equal-length runs (what
-  /// the SIMD gather grouping can take -- the metric state reordering
-  /// exists to raise) and the longest such run.
+  /// Structure of the iterated matrix: maximal |col - row|, rows inside
+  /// >= 4-row equal-length runs (the metric state reordering exists to
+  /// raise) and the longest such run.
   std::uint64_t matrix_bandwidth = 0;
   std::uint64_t groupable_rows = 0;
   std::uint64_t longest_uniform_run = 0;
@@ -110,6 +102,87 @@ struct TransientStats {
   std::uint64_t longest_diagonal_run = 0;
 };
 
+/// Called with (index, time, distribution) as soon as each requested time
+/// point is ready.
+using PointCallback =
+    std::function<void(std::size_t, double, const std::vector<double>&)>;
+
+/// The vector work of one uniformisation increment, in the compacted
+/// state space of the reachable closure.  An engine implements only this;
+/// UniformizationDriver decides everything else.
+class StepExecutor {
+ public:
+  virtual ~StepExecutor() = default;
+
+  /// Starts an increment from pi(t_k) = `current`: the power vector
+  /// becomes `current` and the accumulator weight0 * current (weight0 is
+  /// 0 when the n = 0 term lies left of the window).
+  virtual void load(const std::vector<double>& current, double weight0) = 0;
+
+  /// One DTMC step power <- power * P with accum += weight * power; returns
+  /// ||power_new - power_old||_inf.  The driver reads the delta only when
+  /// `want_delta` is set.
+  virtual double step(double weight, bool want_delta) = 0;
+
+  /// Steady state: accum += residual * power, in place of the window's
+  /// remaining steps.  Called at most once per increment.
+  virtual void fold(double residual) = 0;
+
+  /// Moves the increment's result (the accumulator) into `current`.
+  virtual void read_back(std::vector<double>& current) = 0;
+
+  /// The driver renormalised `current` by `alpha`; executors that hold the
+  /// distribution elsewhere too apply the same factor there.
+  virtual void scale(double /*alpha*/) {}
+};
+
+/// StepExecutor over in-process power/next/accumulator vectors: concrete
+/// executors add step() only.
+class VectorStepExecutor : public StepExecutor {
+ public:
+  void load(const std::vector<double>& current, double weight0) override;
+  void fold(double residual) override;
+  void read_back(std::vector<double>& current) override;
+
+ protected:
+  // Scratch reused across increments and solves: a whole curve allocates
+  // only on its first increment.
+  std::vector<double> power_;
+  std::vector<double> next_;
+  std::vector<double> accum_;
+};
+
+/// The one uniformisation loop behind every engine (see the file comment).
+class UniformizationDriver {
+ public:
+  /// Throws InvalidArgument unless options.epsilon lies in (0, 1).
+  explicit UniformizationDriver(TransientOptions options);
+
+  /// The uniformisation rate for `chain`: `requested`, or 1.02 *
+  /// max_exit_rate when 0 (1 for an all-absorbing generator).  Throws
+  /// InvalidArgument when it falls below the maximal exit rate.
+  static double select_rate(const Ctmc& chain, double requested);
+
+  /// Solves pi(t) for each t in `times` (sorted, validated by the caller)
+  /// through `executor`.  `reachable` maps compact loop indices to full
+  /// states; `initial` and emitted points are full-dimension.  Writes the
+  /// loop counters (iterations, savings, windows, time points, rate,
+  /// active states) into `stats` and leaves its other fields alone.
+  std::vector<std::vector<double>> run(StepExecutor& executor, double rate,
+                                       std::span<const std::uint32_t> reachable,
+                                       const std::vector<double>& initial,
+                                       const std::vector<double>& times,
+                                       const PointCallback& on_point,
+                                       TransientStats& stats);
+
+ private:
+  TransientOptions options_;
+  // Fox-Glynn windows memoised across increments and run() calls.
+  UniformizationPlan plan_;
+  std::vector<double> current_;     // pi(t_k) in loop space
+  std::vector<double> full_point_;  // emission buffer, full dimension
+};
+
 /// Computes pi(t) for each t in `times` (must be sorted ascending, >= 0).
 /// Returns one distribution per time point.  `on_point`, when given, is
 /// called with (index, time, distribution) as soon as each point is ready --
@@ -117,73 +190,38 @@ struct TransientStats {
 class TransientSolver {
  public:
   explicit TransientSolver(const Ctmc& chain, TransientOptions options = {});
+  ~TransientSolver();
 
   std::vector<std::vector<double>> solve(
       const std::vector<double>& initial, const std::vector<double>& times,
-      const std::function<void(std::size_t, double, const std::vector<double>&)>&
-          on_point = nullptr);
+      const PointCallback& on_point = nullptr);
 
   const TransientStats& last_stats() const { return stats_; }
 
  private:
-  /// Rebuilds the fused-loop machinery (reachable closure, compacted
-  /// transpose, packed kernel plan) unless the cached closure already
-  /// covers the support of `initial`.
-  void prepare_fused(const std::vector<double>& initial);
-
   const Ctmc& chain_;
-  TransientOptions options_;
-  linalg::CsrMatrix p_;  // uniformised transition matrix
-  // Fused-loop machinery: the loop runs in the *compacted* state space of
-  // the reachable closure of the initial support (the paper's expanded
-  // battery chains reach only ~half their states from the full-charge
-  // start), gathering over the compacted transpose of P -- each output
-  // entry is one short CSR-row gather, which the fused kernel finishes
-  // with the accumulate and the steady-state delta in the same pass.
-  // Rebuilt per solve only when a new initial escapes the cached closure.
-  linalg::CsrMatrix fused_pt_;  // compacted transpose (CSR fallback kernel)
-  // Compressed kernel plan over fused_pt_ (dictionary values + int16
-  // offsets); when it builds -- it does for every expanded battery chain
-  // -- fused_pt_ is released and the loop runs on the packed layout.
-  std::optional<linalg::FusedGatherPlan> gather_plan_;
-  std::vector<std::uint32_t> reachable_;      // compact index -> full state
-  std::vector<std::uint8_t> reachable_mask_;  // full-space membership
-  std::size_t fused_nonzeros_ = 0;  // entries of the compacted matrix
-  // Structure of the compacted transpose, captured at plan build (the CSR
-  // form may be released afterwards) and copied into every solve's stats.
-  linalg::StructureStats fused_structure_;
   double rate_;
+  UniformizationDriver driver_;
+  // Reachable closure + compacted transpose + packed kernel plan, rebuilt
+  // only when a new initial escapes the cached closure (grown
+  // monotonically, so earlier initials stay covered).
+  std::shared_ptr<const engine::CachedGatherPlan> plan_;
+  std::unique_ptr<engine::GatherExecutor> executor_;
   TransientStats stats_;
-  // Baseline-loop fast path: rows of P that are exact unit diagonals (the
-  // absorbing j1 = 0 layer of the expanded battery chain) are skipped by
-  // the scatter kernel; their mass is carried over directly.
-  std::vector<std::uint32_t> identity_rows_;
-  std::vector<std::uint32_t> active_rows_;
-  // Scratch reused across time increments and across solve() calls: a whole
-  // lifetime curve performs zero per-increment allocations.  In fused mode
-  // these live in the compacted space; full_point_ is the full-dimension
-  // buffer results and callbacks are expanded into.
-  std::vector<double> power_;
-  std::vector<double> next_;
-  std::vector<double> accum_;
-  std::vector<double> full_point_;
-  // Mixed-tier scratch (kernels::Dispatch::kMixed + a row-offset gather
-  // plan): the power iteration streams float32 vectors while accum_ and
-  // current stay double, so the emitted curve only carries the float
-  // operand rounding of the in-window products.
-  std::vector<float> power_f_;
-  std::vector<float> next_f_;
-  // Fox-Glynn windows memoised across increments and solve() calls --
-  // uniform time grids compute one window per curve instead of one per
-  // point.
-  UniformizationPlan plan_;
 };
+
+/// Validates a transient solve's arguments: `initial` is a probability
+/// distribution over the chain's states and `times` are sorted and
+/// non-negative.  Throws InvalidArgument otherwise.
+void check_transient_arguments(const Ctmc& chain,
+                               const std::vector<double>& initial,
+                               const std::vector<double>& times);
 
 /// One-shot convenience: transient distribution at a single time point.
 /// Thin wrapper over TransientSolver that pays the full construction cost
-/// (uniformised matrix copy, row partition) on every call -- callers that
-/// solve the same chain at several times should construct one
-/// TransientSolver and reuse it (or pass all times to one solve()).
+/// on every call -- callers that solve the same chain at several times
+/// should construct one TransientSolver and reuse it (or pass all times to
+/// one solve()).
 std::vector<double> transient_distribution(const Ctmc& chain,
                                            const std::vector<double>& initial,
                                            double time,

@@ -4,8 +4,7 @@
 // The library's strongest promise: the parallel backend's sharded spmv,
 // the pool-sharded Arnoldi, the dispatched kernel tiers and the
 // permutation layer all reproduce the single-thread scalar result BIT
-// FOR BIT (the mixed tier is excluded by design -- it trades bits for
-// throughput).  Orderings change the state numbering, not the chain, so
+// FOR BIT.  Orderings change the state numbering, not the chain, so
 // within one ordering every (threads, tier) combination must agree
 // exactly, and across orderings the solved curves agree within the
 // 10-eps tolerance the reordering layer pins.

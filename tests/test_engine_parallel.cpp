@@ -21,7 +21,9 @@
 #include "kibamrm/engine/parallel_backend.hpp"
 #include "kibamrm/engine/scenario_batch.hpp"
 #include "kibamrm/engine/transient_backend.hpp"
+#include "kibamrm/linalg/expm.hpp"
 #include "kibamrm/linalg/vector_ops.hpp"
+#include "kibamrm/markov/ctmc.hpp"
 #include "kibamrm/workload/onoff_model.hpp"
 
 namespace kibamrm::engine {
@@ -182,24 +184,49 @@ TEST(ParallelBackend, DetectionOnOffAgreeOnFig8Curve) {
             off.last_stats().uniformization_iterations);
 }
 
-TEST(ParallelBackend, FusedMatchesUnfusedPath) {
-  // The fused compacted kernel against the pre-fusion gather + axpy loop.
-  const auto expanded = core::build_expanded_chain(fig8_kibam(), 50.0);
-  const std::vector<double> times = {8000.0, 14000.0};
-  auto fused = make_backend("parallel", {.threads = 4});
-  auto unfused = make_backend(
-      "parallel",
-      {.threads = 4, .fused_kernels = false, .steady_state_detection = false});
-  const auto a = fused->solve(expanded.chain, expanded.initial, times);
-  const auto b = unfused->solve(expanded.chain, expanded.initial, times);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t k = 0; k < times.size(); ++k) {
-    EXPECT_LT(linalg::linf_distance(a[k], b[k]), 1e-10) << "t=" << times[k];
+// A strongly connected banded ring of 512 states, each with 16 neighbours
+// either side -- enough stored entries for the pool-sharded step to engage
+// at 4 threads, small enough for the dense oracle -- plus 8 feeder states
+// no state leads back to, so the reachable closure from the ring is the
+// ring alone.
+markov::Ctmc pooled_ring_chain() {
+  const std::size_t ring = 512;
+  const std::size_t n = ring + 8;
+  std::vector<std::vector<double>> rates(n, std::vector<double>(n, 0.0));
+  for (std::size_t i = 0; i < ring; ++i) {
+    for (std::size_t d = 1; d <= 16; ++d) {
+      rates[i][(i + d) % ring] =
+          0.05 * static_cast<double>(1 + (7 * i + d) % 5);
+      rates[i][(i + ring - d) % ring] =
+          0.04 * static_cast<double>(1 + (3 * i + d) % 4);
+    }
   }
-  // The fused loop iterates only the reachable closure.
-  EXPECT_GT(fused->last_stats().active_states, 0u);
-  EXPECT_LT(fused->last_stats().active_states, expanded.initial.size());
-  EXPECT_EQ(unfused->last_stats().active_states, expanded.initial.size());
+  for (std::size_t i = ring; i < n; ++i) rates[i][i - ring] = 1.0;
+  return markov::ctmc_from_rates(rates);
+}
+
+TEST(ParallelBackend, FusedMatchesDenseExpmOracle) {
+  // The pool-sharded fused kernel over the compacted closure against the
+  // independent dense matrix exponential.
+  const markov::Ctmc chain = pooled_ring_chain();
+  std::vector<double> initial(chain.state_count(), 0.0);
+  initial[0] = 0.5;
+  initial[100] = 0.5;
+  const std::vector<double> times = {0.5, 2.0};
+  auto backend = make_backend("parallel", {.threads = 4});
+  const auto actual = backend->solve(chain, initial, times);
+  ASSERT_EQ(actual.size(), times.size());
+  for (std::size_t k = 0; k < times.size(); ++k) {
+    const std::vector<double> expected =
+        linalg::expm(chain.dense_generator().scaled(times[k]))
+            .left_multiply(initial);
+    EXPECT_LT(linalg::linf_distance(actual[k], expected), 1e-10)
+        << "t=" << times[k];
+  }
+  const BackendStats& stats = backend->last_stats();
+  EXPECT_EQ(stats.active_states, 512u);
+  EXPECT_TRUE(pool_pays_off(4, stats.active_nonzeros, stats.active_states))
+      << "the chain must be large enough to exercise the pool path";
 }
 
 TEST(ScenarioBatch, MatchesSequentialSolvesAndThreadCountInvariant) {

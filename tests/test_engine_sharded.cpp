@@ -132,10 +132,6 @@ TEST(ShardedBackend, RegisteredByName) {
 
 TEST(ShardedBackend, RejectsBadOptions) {
   EXPECT_THROW(make_backend("sharded", {.epsilon = 0.0}), Error);
-  const auto expanded = core::build_expanded_chain(fig8_kibam(), 450.0);
-  auto unfused = make_backend("sharded", {.fused_kernels = false});
-  EXPECT_THROW(unfused->solve(expanded.chain, expanded.initial, {8000.0}),
-               UnsupportedChainError);
 }
 
 TEST(ShardedBackend, BitwiseIdenticalToParallelAtEveryShardThreadCombo) {

@@ -162,55 +162,6 @@ TEST(CsrMatrix, AtOutOfRangeRejected) {
   EXPECT_THROW(m.at(0, 3), InvalidArgument);
 }
 
-TEST(CsrMatrix, IdentityRowsDetected) {
-  // Uniformise a generator with one absorbing state: exactly its row
-  // becomes a unit diagonal.
-  CooBuilder builder(3, 3);
-  builder.add(0, 0, -2.0);
-  builder.add(0, 1, 2.0);
-  builder.add(1, 1, -1.0);
-  builder.add(1, 2, 1.0);
-  // row 2 absorbing
-  const CsrMatrix p = builder.build().uniformized(2.0);
-  const auto identity = p.identity_rows();
-  ASSERT_EQ(identity.size(), 1u);
-  EXPECT_EQ(identity[0], 2u);
-}
-
-TEST(CsrMatrix, PartitionedLeftMultiplyMatchesPlain) {
-  CooBuilder builder(4, 4);
-  builder.add(0, 0, -3.0);
-  builder.add(0, 1, 1.0);
-  builder.add(0, 3, 2.0);
-  builder.add(1, 1, -0.5);
-  builder.add(1, 2, 0.5);
-  // rows 2 and 3 absorbing
-  const CsrMatrix p = builder.build().uniformized(3.0);
-  const auto identity = p.identity_rows();
-  ASSERT_EQ(identity.size(), 2u);
-  const std::vector<std::uint32_t> active = {0, 1};
-
-  const std::vector<double> pi = {0.4, 0.3, 0.2, 0.1};
-  std::vector<double> expected;
-  p.left_multiply(pi, expected);
-  std::vector<double> fast;
-  p.left_multiply_partitioned(pi, fast, active, identity);
-  ASSERT_EQ(fast.size(), expected.size());
-  for (std::size_t i = 0; i < fast.size(); ++i) {
-    EXPECT_DOUBLE_EQ(fast[i], expected[i]) << "entry " << i;
-  }
-}
-
-TEST(CsrMatrix, PartitionedLeftMultiplyRejectsBadPartition) {
-  const CsrMatrix p = two_state_generator(1.0, 1.0).uniformized(2.0);
-  const std::vector<double> pi = {0.5, 0.5};
-  std::vector<double> out;
-  const std::vector<std::uint32_t> only_one_row = {0};
-  EXPECT_THROW(
-      p.left_multiply_partitioned(pi, out, only_one_row, {}),
-      InvalidArgument);
-}
-
 TEST(CsrMatrix, MultiplyRangeCoversExactlyItsRows) {
   // Ranged gather == full multiply on the covered rows, untouched outside.
   CooBuilder builder(5, 5);

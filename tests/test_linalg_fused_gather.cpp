@@ -1,7 +1,6 @@
-// Tests for the fused uniformisation-step kernels: the CSR fused gather
-// and scatter variants, the compressed FusedGatherPlan (bitwise parity
-// with the CSR gather), and the reachability/compaction helpers they ride
-// on.
+// Tests for the fused uniformisation-step kernels: the CSR fused gather,
+// the compressed FusedGatherPlan (bitwise parity with the CSR gather), and
+// the reachability/compaction helpers they ride on.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -100,46 +99,6 @@ TEST(CsrFusedRange, DisjointRangesComposeBitwise) {
   EXPECT_EQ(out, out_full);      // bitwise: sharding cannot change results
   EXPECT_EQ(accum, accum_full);
   EXPECT_EQ(delta, delta_full);
-}
-
-TEST(CsrFusedScatter, MatchesPartitionedPlusAxpy) {
-  // Make row 5 an exact unit diagonal so the identity partition is
-  // non-trivial.
-  CooBuilder builder(8, 8);
-  for (std::size_t i = 0; i < 8; ++i) {
-    if (i == 5) {
-      builder.add(i, i, 1.0);
-      continue;
-    }
-    if (i > 0) builder.add(i, i - 1, 0.4);
-    builder.add(i, i, i > 0 ? 0.6 : 1.0);
-  }
-  const CsrMatrix p = builder.build();
-  const auto identity = p.identity_rows();
-  ASSERT_EQ(identity.size(), 2u);  // rows 0 and 5
-  std::vector<std::uint32_t> active;
-  std::size_t next_identity = 0;
-  for (std::uint32_t row = 0; row < 8; ++row) {
-    if (next_identity < identity.size() && identity[next_identity] == row) {
-      ++next_identity;
-    } else {
-      active.push_back(row);
-    }
-  }
-
-  const std::vector<double> pi = {0.1, 0.2, 0.05, 0.15, 0.1, 0.2, 0.1, 0.1};
-  std::vector<double> expected(8, 0.0);
-  p.left_multiply_partitioned(pi, expected, active, identity);
-  std::vector<double> expected_accum(8, 0.0);
-  axpy(2.0, expected, expected_accum);
-
-  std::vector<double> out(8, 0.0);
-  std::vector<double> accum(8, 0.0);
-  const double delta =
-      p.left_multiply_partitioned_fused(pi, out, active, identity, 2.0, accum);
-  EXPECT_EQ(out, expected);  // same scatter arithmetic, bit for bit
-  EXPECT_EQ(accum, expected_accum);
-  EXPECT_NEAR(delta, linf_distance(expected, pi), 1e-15);
 }
 
 TEST(FusedGatherPlan, BitwiseMatchesCsrKernel) {

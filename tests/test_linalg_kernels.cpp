@@ -32,15 +32,11 @@ std::vector<double> random_vector(std::size_t n, unsigned seed) {
   return v;
 }
 
-/// Restores the process-global dispatch pin (and the opt-in gather
-/// grouping) on scope exit -- these tests mutate shared state other
-/// suites rely on.
+/// Restores the process-global dispatch pin on scope exit -- these tests
+/// mutate shared state other suites rely on.
 class DispatchGuard {
  public:
-  ~DispatchGuard() {
-    k::clear_dispatch();
-    k::set_gather_grouping(false);
-  }
+  ~DispatchGuard() { k::clear_dispatch(); }
 };
 
 bool tier_runnable(k::Dispatch tier) {
@@ -63,12 +59,10 @@ TEST(KernelDispatch, ParseAndNames) {
   EXPECT_EQ(k::parse_dispatch("scalar"), k::Dispatch::kScalar);
   EXPECT_EQ(k::parse_dispatch("avx2"), k::Dispatch::kAvx2);
   EXPECT_EQ(k::parse_dispatch("avx512"), k::Dispatch::kAvx512);
-  EXPECT_EQ(k::parse_dispatch("mixed"), k::Dispatch::kMixed);
   EXPECT_THROW(k::parse_dispatch("sse9"), InvalidArgument);
   EXPECT_EQ(k::dispatch_name(k::Dispatch::kScalar), "scalar");
   EXPECT_EQ(k::dispatch_name(k::Dispatch::kAvx2), "avx2");
   EXPECT_EQ(k::dispatch_name(k::Dispatch::kAvx512), "avx512");
-  EXPECT_EQ(k::dispatch_name(k::Dispatch::kMixed), "mixed");
 }
 
 TEST(KernelDispatch, ScalarPinAlwaysAccepted) {
@@ -79,15 +73,6 @@ TEST(KernelDispatch, ScalarPinAlwaysAccepted) {
   EXPECT_EQ(k::active_dispatch(), k::detected_dispatch());
 }
 
-TEST(KernelDispatch, MixedPinAlwaysAccepted) {
-  // The mixed tier needs no ISA of its own: its dense kernels run the
-  // detected double tier, and the float gather exists in a scalar flavour.
-  DispatchGuard guard;
-  k::set_dispatch(k::Dispatch::kMixed);
-  EXPECT_EQ(k::active_dispatch(), k::Dispatch::kMixed);
-  EXPECT_EQ(k::double_tier(k::active_dispatch()), k::detected_dispatch());
-}
-
 TEST(KernelDispatch, ApplyDispatchFallsBackGracefully) {
   // Satellite contract: requesting an unavailable SIMD tier through the
   // CLI/env path (apply_dispatch) must never throw -- it falls back to
@@ -95,12 +80,12 @@ TEST(KernelDispatch, ApplyDispatchFallsBackGracefully) {
   // command line keeps working across heterogeneous machines.  On CPUs
   // that do support the tier it must pin exactly.
   DispatchGuard guard;
-  for (const char* request : {"scalar", "avx2", "avx512", "mixed", "auto"}) {
+  for (const char* request : {"scalar", "avx2", "avx512", "auto"}) {
     EXPECT_NO_THROW(k::apply_dispatch(request)) << request;
     if (std::string(request) == "auto") {
       EXPECT_EQ(k::active_dispatch(), k::detected_dispatch());
     } else if (const auto parsed = k::parse_dispatch(request);
-               parsed == k::Dispatch::kMixed || tier_runnable(*parsed)) {
+               tier_runnable(*parsed)) {
       EXPECT_EQ(k::active_dispatch(), *parsed) << request;
     } else {
       EXPECT_EQ(k::active_dispatch(), k::detected_dispatch()) << request;
@@ -187,8 +172,8 @@ TEST(KernelAxpyScale, ScalarSimdParityBitwise) {
 }
 
 // Banded matrix with mixed row lengths: long runs of equal-length rows
-// (the SIMD grouped path) broken by ragged rows (the scalar fallback
-// inside the AVX2 kernel).
+// (the SIMD uniform-segment path) broken by ragged rows (the scalar
+// kernel between segments).
 CsrMatrix mixed_bands(std::size_t n) {
   CooBuilder builder(n, n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -212,61 +197,9 @@ CsrMatrix mixed_bands(std::size_t n) {
   return builder.build();
 }
 
-TEST(KernelCsrMultiplyRange, ScalarAvx2ParityBitwise) {
-  if (!avx2_runnable()) GTEST_SKIP() << "CPU lacks AVX2+FMA";
-  DispatchGuard guard;
-  k::set_gather_grouping(true);
-  const std::size_t n = 3001;
-  const CsrMatrix pt = mixed_bands(n).transposed();
-  const auto x = random_vector(n, 9);
-  std::vector<double> out_scalar(n, 0.0), out_avx2(n, 0.0);
-  k::set_dispatch(k::Dispatch::kScalar);
-  pt.multiply_range(x, out_scalar, 0, n);
-  k::set_dispatch(k::Dispatch::kAvx2);
-  pt.multiply_range(x, out_avx2, 0, n);
-  EXPECT_EQ(out_scalar, out_avx2);
-  // Partial ranges land mid-run of equal-length rows: grouping must not
-  // depend on where the range starts.
-  std::vector<double> out_ranges(n, 0.0);
-  pt.multiply_range(x, out_ranges, 1001, n);
-  pt.multiply_range(x, out_ranges, 0, 1001);
-  EXPECT_EQ(out_ranges, out_scalar);
-}
-
-TEST(KernelFusedGatherPlan, ScalarAvx2ParityBitwise) {
-  if (!avx2_runnable()) GTEST_SKIP() << "CPU lacks AVX2+FMA";
-  DispatchGuard guard;
-  k::set_gather_grouping(true);
-  const std::size_t n = 2503;
-  const CsrMatrix pt = mixed_bands(n).transposed();
-  const auto plan = FusedGatherPlan::build(pt);
-  ASSERT_TRUE(plan.has_value());
-  ASSERT_EQ(plan->layout(), FusedGatherPlan::Layout::kRowOffset);
-  const auto x = random_vector(n, 10);
-  std::vector<double> out_s(n, 0.0), accum_s(n, 0.125);
-  std::vector<double> out_v(n, 0.0), accum_v(n, 0.125);
-  k::set_dispatch(k::Dispatch::kScalar);
-  const double delta_s =
-      plan->multiply_fused_range(x, out_s, accum_s, 0.25, 0, n);
-  k::set_dispatch(k::Dispatch::kAvx2);
-  const double delta_v =
-      plan->multiply_fused_range(x, out_v, accum_v, 0.25, 0, n);
-  EXPECT_EQ(out_s, out_v);
-  EXPECT_EQ(accum_s, accum_v);
-  EXPECT_EQ(delta_s, delta_v);
-  // And the SIMD tier still matches the CSR reference kernel bitwise.
-  std::vector<double> out_csr(n, 0.0), accum_csr(n, 0.125);
-  const double delta_csr =
-      pt.multiply_fused_range(x, out_csr, accum_csr, 0.25, 0, n);
-  EXPECT_EQ(out_v, out_csr);
-  EXPECT_EQ(accum_v, accum_csr);
-  EXPECT_EQ(delta_v, delta_csr);
-}
-
 TEST(KernelFusedGatherPlan, ZeroWeightParityAndSkip) {
   if (!avx2_runnable()) GTEST_SKIP() << "CPU lacks AVX2+FMA";
   DispatchGuard guard;
-  k::set_gather_grouping(true);
   const std::size_t n = 1024;
   const CsrMatrix pt = mixed_bands(n).transposed();
   const auto plan = FusedGatherPlan::build(pt);
@@ -302,84 +235,51 @@ CsrMatrix banded_uniform(std::size_t n) {
 
 TEST(KernelUniformSegments, ScalarSimdParityBitwise) {
   // The uniform-segment kernels (8 rows per zmm / 4 per ymm, lane = row)
-  // replay the scalar per-row association exactly, so every double tier
-  // must produce the same bits -- including ranges that start and stop
+  // replay the scalar per-row association exactly, so every tier must
+  // produce the same bits as the scalar tier and the CSR reference kernel
+  // -- on a nearly all-segment matrix and on one whose segments are
+  // broken by ragged rows, and for ranges that start and stop
   // mid-segment, which exercise the partition seams.
   const auto tiers = runnable_simd_tiers();
   if (tiers.empty()) GTEST_SKIP() << "CPU lacks AVX2+FMA";
   DispatchGuard guard;
   const std::size_t n = 4099;
-  const CsrMatrix pt = banded_uniform(n).transposed();
-  const auto plan = FusedGatherPlan::build(pt);
-  ASSERT_TRUE(plan.has_value());
-  ASSERT_EQ(plan->layout(), FusedGatherPlan::Layout::kRowOffset);
-  EXPECT_GT(plan->uniform_fraction(), 0.9);
-  const auto x = random_vector(n, 20);
-  k::set_dispatch(k::Dispatch::kScalar);
-  std::vector<double> out_s(n, 0.0), accum_s(n, 0.125);
-  const double delta_s =
-      plan->multiply_fused_range(x, out_s, accum_s, 0.25, 0, n);
-  for (const k::Dispatch tier : tiers) {
-    k::set_dispatch(tier);
-    std::vector<double> out_v(n, 0.0), accum_v(n, 0.125);
-    const double delta_v =
-        plan->multiply_fused_range(x, out_v, accum_v, 0.25, 0, n);
-    EXPECT_EQ(out_s, out_v) << k::dispatch_name(tier);
-    EXPECT_EQ(accum_s, accum_v) << k::dispatch_name(tier);
-    EXPECT_EQ(delta_s, delta_v) << k::dispatch_name(tier);
-    // Shard seams inside a segment: the same rows in two disjoint calls.
-    std::vector<double> out_r(n, 0.0), accum_r(n, 0.125);
-    const double delta_hi =
-        plan->multiply_fused_range(x, out_r, accum_r, 0.25, 1003, n);
-    const double delta_lo =
-        plan->multiply_fused_range(x, out_r, accum_r, 0.25, 0, 1003);
-    EXPECT_EQ(out_s, out_r) << k::dispatch_name(tier);
-    EXPECT_EQ(accum_s, accum_r) << k::dispatch_name(tier);
-    EXPECT_EQ(delta_s, std::max(delta_lo, delta_hi))
-        << k::dispatch_name(tier);
+  for (const CsrMatrix& p : {banded_uniform(n), mixed_bands(n)}) {
+    const CsrMatrix pt = p.transposed();
+    const auto plan = FusedGatherPlan::build(pt);
+    ASSERT_TRUE(plan.has_value());
+    ASSERT_EQ(plan->layout(), FusedGatherPlan::Layout::kRowOffset);
+    EXPECT_GT(plan->uniform_fraction(), 0.5);
+    const auto x = random_vector(n, 20);
+    k::set_dispatch(k::Dispatch::kScalar);
+    std::vector<double> out_s(n, 0.0), accum_s(n, 0.125);
+    const double delta_s =
+        plan->multiply_fused_range(x, out_s, accum_s, 0.25, 0, n);
+    std::vector<double> out_csr(n, 0.0), accum_csr(n, 0.125);
+    EXPECT_EQ(pt.multiply_fused_range(x, out_csr, accum_csr, 0.25, 0, n),
+              delta_s);
+    EXPECT_EQ(out_csr, out_s);
+    EXPECT_EQ(accum_csr, accum_s);
+    for (const k::Dispatch tier : tiers) {
+      k::set_dispatch(tier);
+      std::vector<double> out_v(n, 0.0), accum_v(n, 0.125);
+      const double delta_v =
+          plan->multiply_fused_range(x, out_v, accum_v, 0.25, 0, n);
+      EXPECT_EQ(out_s, out_v) << k::dispatch_name(tier);
+      EXPECT_EQ(accum_s, accum_v) << k::dispatch_name(tier);
+      EXPECT_EQ(delta_s, delta_v) << k::dispatch_name(tier);
+      // Shard seams inside a segment: the same rows in two disjoint calls.
+      std::vector<double> out_r(n, 0.0), accum_r(n, 0.125);
+      const double delta_hi =
+          plan->multiply_fused_range(x, out_r, accum_r, 0.25, 1003, n);
+      const double delta_lo =
+          plan->multiply_fused_range(x, out_r, accum_r, 0.25, 0, 1003);
+      EXPECT_EQ(out_s, out_r) << k::dispatch_name(tier);
+      EXPECT_EQ(accum_s, accum_r) << k::dispatch_name(tier);
+      EXPECT_EQ(delta_s, std::max(delta_lo, delta_hi))
+          << k::dispatch_name(tier);
+    }
   }
-}
-
-TEST(KernelUniformSegments, MixedAccuracyAndPartitionDeterminism) {
-  // The mixed tier streams float32 operands through the same canonical
-  // association with double accumulation: every product is exact in
-  // double, so the result is deterministic under any row partition, and
-  // it tracks the all-double kernel to float operand rounding.
-  DispatchGuard guard;
-  const std::size_t n = 3001;
-  const CsrMatrix pt = banded_uniform(n).transposed();
-  const auto plan = FusedGatherPlan::build(pt);
-  ASSERT_TRUE(plan.has_value());
-  ASSERT_TRUE(plan->mixed_supported());
-  std::vector<double> x(n);
-  std::mt19937 rng(21);
-  std::uniform_real_distribution<double> uniform(0.0, 1.0);
-  for (double& v : x) v = uniform(rng);
-  k::set_dispatch(k::Dispatch::kScalar);
-  std::vector<double> out_d(n, 0.0), accum_d(n, 0.0);
-  plan->multiply_fused_range(x, out_d, accum_d, 0.25, 0, n);
-
-  k::set_dispatch(k::Dispatch::kMixed);
-  const std::vector<float> x_f(x.begin(), x.end());
-  std::vector<float> out_f(n, 0.0f);
-  std::vector<double> accum_f(n, 0.0);
-  const double delta_full =
-      plan->multiply_fused_range_mixed(x_f, out_f, accum_f, 0.25, 0, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_NEAR(static_cast<double>(out_f[i]), out_d[i], 1e-5) << i;
-    EXPECT_NEAR(accum_f[i], accum_d[i], 1e-5) << i;
-  }
-  // Partition determinism: two disjoint ranges, filled high range first,
-  // reproduce the single-call bits exactly.
-  std::vector<float> out_r(n, 0.0f);
-  std::vector<double> accum_r(n, 0.0);
-  const double delta_hi =
-      plan->multiply_fused_range_mixed(x_f, out_r, accum_r, 0.25, 977, n);
-  const double delta_lo =
-      plan->multiply_fused_range_mixed(x_f, out_r, accum_r, 0.25, 0, 977);
-  EXPECT_EQ(out_f, out_r);
-  EXPECT_EQ(accum_f, accum_r);
-  EXPECT_EQ(delta_full, std::max(delta_lo, delta_hi));
 }
 
 // Arnoldi over a chain large enough to engage the pool-sharded sweeps

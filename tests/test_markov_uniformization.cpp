@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "kibamrm/common/error.hpp"
 #include "kibamrm/linalg/expm.hpp"
 #include "kibamrm/linalg/vector_ops.hpp"
 #include "kibamrm/markov/ctmc.hpp"
+#include "kibamrm/markov/fox_glynn.hpp"
 #include "kibamrm/markov/uniformization.hpp"
 
 namespace kibamrm::markov {
@@ -154,23 +157,24 @@ TEST(Uniformization, RejectsBadInputs) {
                InvalidArgument);  // rate below max exit rate
 }
 
-TEST(Uniformization, FusedMatchesBaselineLoop) {
-  // The fused compacted gather loop and the pre-fusion scatter loop are
-  // different arithmetic over the same series; they must agree to solver
-  // accuracy everywhere.
+TEST(Uniformization, FusedMatchesDenseExpmOracle) {
+  // The fused compacted gather loop, incremental over four increments
+  // (detection firing on the converged tail), against the independent
+  // dense matrix exponential at every point.
   const Ctmc chain = ctmc_from_rates({{0.0, 1.2, 0.3, 0.0},
                                       {0.4, 0.0, 2.0, 0.1},
                                       {0.0, 0.7, 0.0, 0.9},
                                       {1.5, 0.0, 0.2, 0.0}});
   const std::vector<double> initial = {0.25, 0.25, 0.25, 0.25};
   const std::vector<double> times = {0.5, 1.7, 4.0, 12.0};
-  TransientSolver fused(chain);
-  TransientSolver baseline(
-      chain, {.fused_kernels = false, .steady_state_detection = false});
-  const auto a = fused.solve(initial, times);
-  const auto b = baseline.solve(initial, times);
+  TransientSolver solver(chain);
+  const auto curves = solver.solve(initial, times);
   for (std::size_t k = 0; k < times.size(); ++k) {
-    EXPECT_LT(linalg::linf_distance(a[k], b[k]), 1e-12) << "t=" << times[k];
+    const std::vector<double> expected =
+        linalg::expm(chain.dense_generator().scaled(times[k]))
+            .left_multiply(initial);
+    EXPECT_LT(linalg::linf_distance(curves[k], expected), 1e-10)
+        << "t=" << times[k];
   }
 }
 
@@ -281,6 +285,75 @@ TEST(Uniformization, ProbabilityVectorStaysNormalised) {
   for (const auto& pi : curves) {
     EXPECT_NEAR(linalg::sum(pi), 1.0, 1e-12);
   }
+}
+
+// Step executor with a scripted delta sequence (1.0 once it runs out) that
+// records what the driver asks of it.
+class ScriptedExecutor final : public StepExecutor {
+ public:
+  explicit ScriptedExecutor(std::vector<double> deltas)
+      : deltas_(std::move(deltas)) {}
+
+  void load(const std::vector<double>&, double) override { ++loads; }
+  double step(double, bool) override {
+    const double delta = steps < deltas_.size() ? deltas_[steps] : 1.0;
+    ++steps;
+    return delta;
+  }
+  void fold(double tail) override {
+    ++folds;
+    residual = tail;
+  }
+  void read_back(std::vector<double>&) override {}  // pi(t) stays initial
+
+  std::size_t loads = 0;
+  std::size_t steps = 0;
+  std::size_t folds = 0;
+  double residual = 0.0;
+
+ private:
+  std::vector<double> deltas_;
+};
+
+// One increment of lambda = 50 through the driver; returns the window it
+// must have used.
+PoissonWindow run_scripted(ScriptedExecutor& executor, TransientStats& stats) {
+  UniformizationDriver driver({});
+  const std::vector<std::uint32_t> reachable = {0, 1};
+  driver.run(executor, 1.0, reachable, {1.0, 0.0}, {50.0}, nullptr, stats);
+  return fox_glynn(50.0, TransientOptions{}.epsilon);
+}
+
+TEST(UniformizationDriver, SingleCalmStepDoesNotStop) {
+  // Every other step lies inside the budget, never two in a row.
+  std::vector<double> deltas(1000);
+  for (std::size_t i = 0; i < deltas.size(); ++i) deltas[i] = i % 2;
+  ScriptedExecutor executor(deltas);
+  TransientStats stats;
+  const PoissonWindow window = run_scripted(executor, stats);
+  EXPECT_EQ(executor.loads, 1u);
+  EXPECT_EQ(executor.folds, 0u);
+  EXPECT_EQ(executor.steps, window.right);
+  EXPECT_EQ(stats.iterations, window.right);
+  EXPECT_EQ(stats.iterations_saved, 0u);
+  EXPECT_EQ(stats.steady_state_hits, 0u);
+}
+
+TEST(UniformizationDriver, TwoCalmStepsFoldTheResidualTail) {
+  // Steps 3 and 4 lie inside the budget: the driver stops after step 4
+  // and folds the remaining Poisson mass, summed in ascending order.
+  ScriptedExecutor executor({1.0, 1.0, 0.0, 0.0});
+  TransientStats stats;
+  const PoissonWindow window = run_scripted(executor, stats);
+  double tail = 0.0;
+  for (std::uint64_t m = 5; m <= window.right; ++m) tail += window.weight(m);
+  EXPECT_EQ(executor.steps, 4u);
+  EXPECT_EQ(executor.folds, 1u);
+  EXPECT_EQ(executor.residual, tail);
+  EXPECT_EQ(stats.iterations, 4u);
+  EXPECT_EQ(stats.iterations + stats.iterations_saved, window.right);
+  EXPECT_EQ(stats.steady_state_hits, 1u);
+  EXPECT_EQ(stats.windows_computed, 1u);
 }
 
 }  // namespace

@@ -22,10 +22,10 @@
 //                   unavailable SIMD tier falls back to the best supported
 //                   one with a stderr note.)
 //   --reorder R     state ordering of the expanded chain:
-//                   none | level | rcm (default none; level packs the
+//                   none | level (default none; level packs the
 //                   charge-major runs the SIMD gather tiers vectorise
-//                   across, rcm minimises bandwidth -- results are
-//                   inverse-permuted, so curves agree with none)
+//                   across -- results are inverse-permuted, so curves
+//                   agree with none)
 #pragma once
 
 #include <chrono>
@@ -59,12 +59,11 @@ inline std::string kernel_choice(const common::CliArgs& args) {
 
 /// The --reorder choice, validated; "none" when absent.
 inline std::string reorder_choice(const common::CliArgs& args) {
-  return args.get_choice("reorder", "none", {"none", "level", "rcm"});
+  return args.get_choice("reorder", "none", {"none", "level"});
 }
 
-/// Applies --kernels to the process-global dispatch immediately (so even
-/// code paths that never see an options struct -- simulators, direct
-/// TransientSolver users -- run the requested tier).
+/// Applies --kernels to the process-global dispatch; every driver calls
+/// it once at startup, and no solver option overrides it afterwards.
 inline void apply_kernel_choice(const common::CliArgs& args) {
   linalg::kernels::apply_dispatch(kernel_choice(args));
 }
@@ -206,7 +205,6 @@ inline std::size_t resolved_thread_count(const std::string& engine,
 template <typename Options>
 void apply_engine_tuning(const common::CliArgs& args, Options& options) {
   options.steady_state_detection = !args.has("no-detect");
-  options.kernel_dispatch = kernel_choice(args);
   options.reorder = reorder_choice(args);
   options.tile_bytes =
       static_cast<std::size_t>(args.get_positive_int("tile-mb", 8)) << 20;

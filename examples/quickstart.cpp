@@ -11,7 +11,7 @@
 //                                    krylov|ooc|sharded]
 //                         [--threads N]
 //                         [--kernels auto|scalar|avx2|avx512]
-//                         [--reorder none|level|rcm]
+//                         [--reorder none|level]
 //                         [--tile-mb N] [--spill-dir PATH]   (ooc engine)
 //                         [--shards N]                    (sharded engine)
 //
@@ -29,6 +29,7 @@
 #include "kibamrm/core/simulator.hpp"
 #include "kibamrm/engine/transient_backend.hpp"
 #include "kibamrm/io/table.hpp"
+#include "kibamrm/linalg/kernels.hpp"
 #include "kibamrm/workload/simple_model.hpp"
 
 int main(int argc, char** argv) {
@@ -39,10 +40,13 @@ int main(int argc, char** argv) {
       .declare("no-detect").declare("kernels").declare("reorder")
       .declare("tile-mb").declare("spill-dir").declare("shards");
   args.validate();
-  const std::string kernels = args.get_choice(
-      "kernels", "auto", {"auto", "scalar", "avx2", "avx512"});
+  // --kernels pins the process-global vector tier before anything runs
+  // (the tiers are bitwise identical; scalar is the sanitizer-CI escape
+  // hatch).
+  linalg::kernels::apply_dispatch(args.get_choice(
+      "kernels", "auto", {"auto", "scalar", "avx2", "avx512"}));
   const std::string reorder =
-      args.get_choice("reorder", "none", {"none", "level", "rcm"});
+      args.get_choice("reorder", "none", {"none", "level"});
   const std::string engine =
       args.get_choice("engine", "uniformization", engine::backend_names());
   const auto threads =
@@ -82,13 +86,9 @@ int main(int argc, char** argv) {
                                 args.get_positive_int("tile-mb", 8))
                             << 20,
               .spill_dir = args.get_directory("spill-dir", ""),
-              // --kernels pins the runtime-dispatched vector tier (the
-              // tiers are bitwise identical; scalar is the
-              // sanitizer-CI escape hatch) and --reorder renumbers the
-              // expanded chain's states (level packs the runs the SIMD
-              // gather tiers want; results are inverse-permuted, so the
-              // curve is the same either way).
-              .kernel_dispatch = kernels,
+              // --reorder renumbers the expanded chain's states (level
+              // packs the runs the SIMD gather tiers want; results are
+              // inverse-permuted, so the curve is the same either way).
               .reorder = reorder,
               // --shards forks that many worker processes under the
               // "sharded" engine (each running --threads lanes); other

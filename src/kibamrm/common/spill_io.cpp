@@ -78,14 +78,12 @@ SpillFile::~SpillFile() {
 
 SpillFile::SpillFile(SpillFile&& other) noexcept
     : fd_(std::exchange(other.fd_, -1)),
-      direct_(std::exchange(other.direct_, false)),
       path_(std::move(other.path_)) {}
 
 SpillFile& SpillFile::operator=(SpillFile&& other) noexcept {
   if (this != &other) {
     close();
     fd_ = std::exchange(other.fd_, -1);
-    direct_ = std::exchange(other.direct_, false);
     path_ = std::move(other.path_);
   }
   return *this;
@@ -100,19 +98,9 @@ SpillFile SpillFile::create(const std::string& path) {
   return file;
 }
 
-SpillFile SpillFile::open_readonly(const std::string& path, bool direct_io) {
+SpillFile SpillFile::open_readonly(const std::string& path) {
   SpillFile file;
-#ifdef O_DIRECT
-  if (direct_io) {
-    file.fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC | O_DIRECT);
-    file.direct_ = file.fd_ >= 0;
-  }
-#else
-  (void)direct_io;
-#endif
-  if (file.fd_ < 0) {
-    file.fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  }
+  file.fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (file.fd_ < 0) throw_errno("cannot open spill file", path);
   file.path_ = path;
   return file;
@@ -166,9 +154,8 @@ std::uint64_t SpillFile::size() const {
 void SpillFile::advise_willneed(std::uint64_t offset,
                                 std::uint64_t bytes) const {
 #if defined(POSIX_FADV_WILLNEED)
-  if (fd_ >= 0 && !direct_) {
-    // Best-effort readahead; O_DIRECT bypasses the page cache, so the
-    // hint would be meaningless there.
+  if (fd_ >= 0) {
+    // Best-effort readahead.
     (void)posix_fadvise(fd_, static_cast<off_t>(offset),
                         static_cast<off_t>(bytes), POSIX_FADV_WILLNEED);
   }
@@ -192,7 +179,6 @@ void SpillFile::close() {
     ::close(fd_);
     fd_ = -1;
   }
-  direct_ = false;
 }
 
 void SpillFile::unlink_keeping_open() {

@@ -6,12 +6,9 @@
 //
 //   SpillFile       RAII file descriptor with exact-length positional
 //                   reads/writes (short transfers are errors, not partial
-//                   successes), readahead hints (posix_fadvise) and an
-//                   opportunistic O_DIRECT open that silently falls back
-//                   to buffered IO on filesystems that refuse it
-//   AlignedBuffer   page-aligned byte buffer (O_DIRECT requires aligned
-//                   source/destination memory; the alignment also keeps
-//                   the tile kernels' double arrays naturally aligned)
+//                   successes) and readahead hints (posix_fadvise)
+//   AlignedBuffer   page-aligned byte buffer (keeps the tile kernels'
+//                   double arrays naturally aligned)
 //   fnv1a64         checksum for tile slabs -- corruption and truncation
 //                   must surface as kibamrm::Error, never as UB in a
 //                   kernel that trusted a damaged offset table
@@ -33,8 +30,7 @@ namespace kibamrm::common {
 std::uint64_t fnv1a64(const void* data, std::size_t bytes,
                       std::uint64_t seed = 0xcbf29ce484222325ull);
 
-/// Page-aligned (4096-byte) heap buffer, movable, non-copyable.  O_DIRECT
-/// transfers require sector-aligned memory; buffered reads tolerate it.
+/// Page-aligned (4096-byte) heap buffer, movable, non-copyable.
 class AlignedBuffer {
  public:
   AlignedBuffer() = default;
@@ -68,7 +64,7 @@ class AlignedBuffer {
 /// TileStore.  The mutating operations (create/open/close/unlink/sync/
 /// write_exact) run on the owner's thread only; concurrent read_exact /
 /// advise_willneed calls are safe because pread takes no descriptor
-/// state (each call names its own offset) and fd_ / direct_ / path_ are
+/// state (each call names its own offset) and fd_ / path_ are
 /// immutable between open and close.  The ooc pipeline's IO lane is the
 /// only reader during a streamed step, handed off through the pool's
 /// dispatch barrier.
@@ -87,20 +83,14 @@ class KIBAMRM_EXTERNALLY_SYNCHRONIZED(
   /// Creates (truncating) a read-write spill file.
   static SpillFile create(const std::string& path);
 
-  /// Opens an existing file read-only.  With `direct_io`, O_DIRECT is
-  /// attempted first and buffered IO is the silent fallback (tmpfs and
-  /// some network filesystems reject the flag); direct_active() reports
-  /// which mode the descriptor ended up in.
-  static SpillFile open_readonly(const std::string& path, bool direct_io);
+  /// Opens an existing file read-only.
+  static SpillFile open_readonly(const std::string& path);
 
   bool is_open() const { return fd_ >= 0; }
-  bool direct_active() const { return direct_; }
   const std::string& path() const { return path_; }
 
   /// Exact-length positional transfer; a short read (EOF inside the span,
   /// i.e. a truncated file) or any IO error throws kibamrm::Error.
-  /// O_DIRECT descriptors require 4096-aligned offset/length/memory --
-  /// the tile store pads its layout so callers satisfy this naturally.
   void read_exact(void* dst, std::size_t bytes, std::uint64_t offset) const;
   void write_exact(const void* src, std::size_t bytes, std::uint64_t offset);
 
@@ -123,7 +113,6 @@ class KIBAMRM_EXTERNALLY_SYNCHRONIZED(
 
  private:
   int fd_ = -1;
-  bool direct_ = false;
   std::string path_;
 };
 

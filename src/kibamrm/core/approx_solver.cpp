@@ -21,7 +21,6 @@ MarkovianApproximation::MarkovianApproximation(const KibamRmModel& model,
            .steady_state_detection = options_.steady_state_detection,
            .tile_bytes = options_.tile_bytes,
            .spill_dir = options_.spill_dir,
-           .kernel_dispatch = options_.kernel_dispatch,
            .shards = options_.shards})) {
   stats_.expanded_states = expanded_.grid.state_count();
   stats_.generator_nonzeros = expanded_.chain.generator().nonzeros();
@@ -38,31 +37,8 @@ LifetimeCurve MarkovianApproximation::solve(const std::vector<double>& times) {
 
 void absorb_backend_stats(ApproximationStats& stats,
                           const engine::BackendStats& backend) {
+  static_cast<engine::BackendStats&>(stats) = backend;
   stats.uniformization_iterations = backend.iterations;
-  stats.uniformization_rate = backend.uniformization_rate;
-  stats.iterations_saved = backend.iterations_saved;
-  stats.windows_computed = backend.windows_computed;
-  stats.windows_reused = backend.windows_reused;
-  stats.active_states = backend.active_states;
-  stats.active_nonzeros = backend.active_nonzeros;
-  stats.krylov_dim = backend.krylov_dim;
-  stats.substeps = backend.substeps;
-  stats.hessenberg_expms = backend.hessenberg_expms;
-  stats.krylov_ortho_work = backend.krylov_ortho_work;
-  stats.matrix_bandwidth = backend.matrix_bandwidth;
-  stats.groupable_rows = backend.groupable_rows;
-  stats.longest_uniform_run = backend.longest_uniform_run;
-  stats.diagonal_rows = backend.diagonal_rows;
-  stats.longest_diagonal_run = backend.longest_diagonal_run;
-  stats.shards = backend.shards;
-  stats.halo_bytes_per_step = backend.halo_bytes_per_step;
-  stats.halo_wait_ns = backend.halo_wait_ns;
-  stats.shard_nnz_imbalance = backend.shard_nnz_imbalance;
-  stats.ooc_tiles = backend.ooc_tiles;
-  stats.ooc_tile_reads = backend.ooc_tile_reads;
-  stats.ooc_prefetch_hits = backend.ooc_prefetch_hits;
-  stats.ooc_bytes_streamed = backend.ooc_bytes_streamed;
-  stats.ooc_spill_bytes = backend.ooc_spill_bytes;
 }
 
 LifetimeCurve solve_empty_probability_curve(const ExpandedChain& expanded,

@@ -44,11 +44,7 @@ struct ApproximationOptions {
   /// forwarded to engine::BackendOptions.  Ignored by other engines.
   std::size_t tile_bytes = 8ull << 20;
   std::string spill_dir = "";
-  /// Vector-kernel tier pin ("auto" / "scalar" / "avx2" / "avx512"),
-  /// forwarded to engine::BackendOptions::kernel_dispatch (process-global;
-  /// the tiers are bitwise identical).
-  std::string kernel_dispatch = "auto";
-  /// State ordering of the expanded chain ("none" / "level" / "rcm", see
+  /// State ordering of the expanded chain ("none" / "level", see
   /// core::StateOrdering).  Reordering never changes the solved curve --
   /// it renumbers the states so the gather kernels see uniform row runs
   /// -- and the ExpandedChain carries the permutation for anything that
@@ -60,73 +56,27 @@ struct ApproximationOptions {
   std::size_t shards = 1;
 };
 
-/// Cost/shape diagnostics of one approximation run.
-struct ApproximationStats {
+/// Cost/shape diagnostics of one approximation run: the engine's counters
+/// (engine::BackendStats) plus what only this layer knows -- the expanded
+/// chain's size, the engine name and the state ordering.
+struct ApproximationStats : engine::BackendStats {
   std::size_t expanded_states = 0;
   std::size_t generator_nonzeros = 0;
   /// Engine that produced the last curve.
   std::string engine;
-  /// Iteration count of the engine (DTMC steps for uniformisation, RHS
-  /// evaluations for the adaptive stepper, exponentials for dense); the
-  /// field keeps its historical name for the Sec. 6.1 experiments.
-  std::uint64_t uniformization_iterations = 0;
-  double uniformization_rate = 0.0;
-  /// Poisson terms skipped by steady-state early termination (0 for
-  /// engines without it); iterations + iterations_saved is the full
-  /// Fox-Glynn term count.
-  std::uint64_t iterations_saved = 0;
-  /// Fox-Glynn windows computed vs served from the plan cache.
-  std::uint64_t windows_computed = 0;
-  std::uint64_t windows_reused = 0;
-  /// States in the reachable closure actually iterated by the
-  /// uniformisation loop (<= expanded_states; 0 for other engines), and
-  /// the stored entries of the iterated matrix (the honest work unit for
-  /// throughput metrics).
-  std::uint64_t active_states = 0;
-  std::uint64_t active_nonzeros = 0;
-  /// Krylov engine: largest Arnoldi subspace dimension used, accepted
-  /// adaptive sub-steps, small Hessenberg exponentials evaluated
-  /// (including rejected trials), and the summed dim^2 orthogonalisation
-  /// work (in units of the state count); 0 for other engines.
-  std::uint64_t krylov_dim = 0;
-  std::uint64_t substeps = 0;
-  std::uint64_t hessenberg_expms = 0;
-  std::uint64_t krylov_ortho_work = 0;
   /// State ordering the expanded chain was built with ("none" when the
   /// natural numbering was kept).
   std::string reorder = "none";
-  /// Structure of the matrix the hot loop iterated (the compacted
-  /// transpose): maximal |col - row|, rows inside >= 4-row equal-length
-  /// runs and the longest such run.  0 for engines that do not report it.
-  std::uint64_t matrix_bandwidth = 0;
-  std::uint64_t groupable_rows = 0;
-  std::uint64_t longest_uniform_run = 0;
-  /// Rows repeating the previous row's offset pattern (diagonal runs)
-  /// and the longest such run; see linalg::StructureStats.
-  std::uint64_t diagonal_rows = 0;
-  std::uint64_t longest_diagonal_run = 0;
-  /// "sharded" engine: worker processes of the solve, halo bytes crossing
-  /// the process boundary per product (static plan property), summed
-  /// nanoseconds workers spent blocked on halo receives, and the
-  /// max/mean stored-entry imbalance of the level bands; 0 for
-  /// single-process engines.
-  std::uint64_t shards = 0;
-  std::uint64_t halo_bytes_per_step = 0;
-  std::uint64_t halo_wait_ns = 0;
-  double shard_nnz_imbalance = 0.0;
-  /// "ooc" engine: tiles in the spill store, tile reads over the solve,
-  /// reads satisfied by the prefetch double-buffer, slab bytes streamed
-  /// from disk and the spill file size; 0 for in-memory engines.
-  std::uint64_t ooc_tiles = 0;
-  std::uint64_t ooc_tile_reads = 0;
-  std::uint64_t ooc_prefetch_hits = 0;
-  std::uint64_t ooc_bytes_streamed = 0;
-  std::uint64_t ooc_spill_bytes = 0;
+  /// Always equal to `iterations` (the engine's work unit: DTMC steps for
+  /// uniformisation, RHS evaluations for the adaptive stepper,
+  /// exponentials for dense); the Sec. 6.1 experiments read it under this
+  /// name.
+  std::uint64_t uniformization_iterations = 0;
 };
 
-/// Copies the per-solve cost counters of a backend into the
-/// approximation-level record (shared by MarkovianApproximation and
-/// engine::ScenarioBatch so batched and sequential stats cannot drift).
+/// Copies the per-solve counters of a backend into the approximation-level
+/// record (shared by MarkovianApproximation and engine::ScenarioBatch so
+/// batched and sequential stats cannot drift).
 void absorb_backend_stats(ApproximationStats& stats,
                           const engine::BackendStats& backend);
 

@@ -9,20 +9,12 @@ namespace kibamrm::core {
 StateOrdering parse_state_ordering(std::string_view name) {
   if (name == "none") return StateOrdering::kNone;
   if (name == "level") return StateOrdering::kLevel;
-  if (name == "rcm") return StateOrdering::kRcm;
   throw InvalidArgument("unknown state ordering '" + std::string(name) +
-                        "'; choices: none level rcm");
+                        "'; choices: none level");
 }
 
 std::string_view state_ordering_name(StateOrdering ordering) {
-  switch (ordering) {
-    case StateOrdering::kLevel:
-      return "level";
-    case StateOrdering::kRcm:
-      return "rcm";
-    default:
-      return "none";
-  }
+  return ordering == StateOrdering::kLevel ? "level" : "none";
 }
 
 namespace {
@@ -177,18 +169,10 @@ ExpandedChain build_expanded_chain(const KibamRmModel& model, double delta,
   // along), so every backend solves it unchanged; only the memory layout
   // of the hot loops differs.  The permutation rides in the result so
   // distributions map back to grid coordinates.
-  linalg::Permutation permutation;
-  switch (ordering) {
-    case StateOrdering::kNone:
-      permutation = linalg::Permutation::identity(grid.state_count());
-      break;
-    case StateOrdering::kLevel:
-      permutation = level_major_permutation(grid);
-      break;
-    case StateOrdering::kRcm:
-      permutation = linalg::Permutation::reverse_cuthill_mckee(generator);
-      break;
-  }
+  linalg::Permutation permutation =
+      ordering == StateOrdering::kLevel
+          ? level_major_permutation(grid)
+          : linalg::Permutation::identity(grid.state_count());
   if (ordering != StateOrdering::kNone) {
     generator = permutation.permuted(generator);
     initial = permutation.apply(initial);

@@ -18,8 +18,7 @@
 // -- the structure the SIMD gather kernels group on.  build_expanded_chain
 // can renumber the states at build time (StateOrdering): "level" moves a
 // level axis innermost so consecutive states differ by one level step
-// (long uniform runs, same bandwidth), "rcm" applies reverse
-// Cuthill-McKee to the assembled generator.  The permutation is carried
+// (long uniform runs, same bandwidth).  The permutation is carried
 // in the ExpandedChain so distributions map back to grid coordinates;
 // solved curves are invariant under any ordering (the chain is the same
 // chain).
@@ -38,10 +37,9 @@ namespace kibamrm::core {
 enum class StateOrdering {
   kNone,   ///< LevelGrid's natural numbering (workload state innermost)
   kLevel,  ///< level-major: a level axis innermost, workload state outer
-  kRcm,    ///< reverse Cuthill-McKee on the assembled generator pattern
 };
 
-/// Parses "none" / "level" / "rcm"; throws InvalidArgument otherwise.
+/// Parses "none" / "level"; throws InvalidArgument otherwise.
 StateOrdering parse_state_ordering(std::string_view name);
 
 std::string_view state_ordering_name(StateOrdering ordering);

@@ -32,6 +32,10 @@ constexpr std::size_t kMaxRejections = 60;
 // and handled by the mass projection below; drift at the per-mille level
 // means exp(tau H) diverged and the step must shrink instead.
 constexpr double kMassBlowup = 1e-3;
+// Adaptive sub-steps per time increment before the solve fails with
+// NumericalError -- a runaway-splitting guard, not a tuning knob (stiff
+// battery chains finish in tens to hundreds of sub-steps).
+constexpr std::size_t kMaxSubsteps = 500000;
 
 // Adaptive-dimension floor: below four Krylov vectors the a-posteriori
 // estimate loses its second-order term and the controller flails.
@@ -55,8 +59,6 @@ KrylovBackend::KrylovBackend(BackendOptions options)
                   "krylov epsilon must lie in (0,1)");
   KIBAMRM_REQUIRE(options_.krylov_dim >= 1,
                   "krylov subspace dimension must be >= 1");
-  KIBAMRM_REQUIRE(options_.krylov_max_substeps >= 1,
-                  "krylov sub-step budget must be >= 1");
 }
 
 std::vector<std::vector<double>> KrylovBackend::solve(
@@ -220,11 +222,10 @@ void KrylovBackend::integrate(
     // Round-off tail: once the remainder is negligible relative to the
     // increment, it cannot move the distribution within the budget.
     if (dt - t_done <= 1e-12 * dt) break;
-    if (++substeps_taken > options_.krylov_max_substeps) {
-      throw NumericalError(
-          "krylov engine: sub-step budget exhausted after " +
-          std::to_string(options_.krylov_max_substeps) +
-          " steps (raise krylov_max_substeps or epsilon)");
+    if (++substeps_taken > kMaxSubsteps) {
+      throw NumericalError("krylov engine: sub-step budget exhausted after " +
+                           std::to_string(kMaxSubsteps) +
+                           " steps (raise epsilon)");
     }
 
     // The subspace dimension this factorisation runs at (adapted between

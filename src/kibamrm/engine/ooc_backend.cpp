@@ -247,8 +247,7 @@ std::vector<std::vector<double>> OutOfCoreBackend::solve(
     const markov::Ctmc& chain, const std::vector<double>& initial,
     const std::vector<double>& times, const PointCallback& on_point) {
   markov::check_transient_arguments(chain, initial, times);
-  const double rate = markov::UniformizationDriver::select_rate(
-      chain, options_.uniformization_rate);
+  const double rate = markov::UniformizationDriver::select_rate(chain);
 
   // Reachable closure over P's sparsity pattern without materialising P
   // (bitwise equal to uniformized(rate).reachable_rows; the diagonal
@@ -267,11 +266,9 @@ std::vector<std::vector<double>> OutOfCoreBackend::solve(
   // caps where the in-memory backends cannot construct P at all.
   const std::string spill_path = common::unique_spill_path(
       common::resolve_spill_dir(options_.spill_dir), "kibamrm-tiles");
-  linalg::TileStoreOptions store_options;
-  store_options.tile_bytes = options_.tile_bytes;
-  store_options.direct_io = options_.spill_direct_io;
   linalg::TileStore store = linalg::TileStore::build(
-      chain.generator(), reachable, rate, store_options, spill_path);
+      chain.generator(), reachable, rate, {.tile_bytes = options_.tile_bytes},
+      spill_path);
   store.unlink_keeping_open();  // space reclaims even on abnormal exit
 
   stats_ = BackendStats{};

@@ -40,14 +40,13 @@ std::vector<ScenarioResult> ScenarioBatch::solve_all(
   const BackendOptions backend_options{
       .epsilon = options_.epsilon,
       .dense_state_limit = options_.dense_state_limit,
-      .threads = options_.engine_threads,
+      .threads = 1,
       // Batches stream Pr{empty} through the callback; the distributions
       // themselves are never materialised.
       .collect_distributions = false,
       .steady_state_detection = options_.steady_state_detection,
       .tile_bytes = options_.tile_bytes,
       .spill_dir = options_.spill_dir,
-      .kernel_dispatch = options_.kernel_dispatch,
       .shards = options_.shards,
       .plan_cache = plan_cache};
 

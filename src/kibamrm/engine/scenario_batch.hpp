@@ -91,11 +91,9 @@ struct ScenarioBatchOptions {
   /// Refusal threshold forwarded to the dense engine.
   std::size_t dense_state_limit = 1024;
   /// Scenario-level concurrency (pool lanes); 0 auto-detects hardware.
+  /// Every lane's engine runs on one lane itself, so batch x engine
+  /// parallelism never oversubscribes.
   std::size_t threads = 0;
-  /// Threads *inside* each backend instance (the "parallel" engine); kept
-  /// at 1 by default so batch x engine parallelism does not oversubscribe
-  /// -- raise it only for batches of few, huge scenarios.
-  std::size_t engine_threads = 1;
   /// Forwarded to the backend: steady-state early termination
   /// (uniformisation engines).
   bool steady_state_detection = true;
@@ -103,13 +101,7 @@ struct ScenarioBatchOptions {
   /// per streamed tile and the spill directory (empty selects $TMPDIR).
   std::size_t tile_bytes = 8ull << 20;
   std::string spill_dir = "";
-  /// Vector-kernel tier pin ("auto" / "scalar" / "avx2" / "avx512"),
-  /// forwarded to every lane's BackendOptions::kernel_dispatch -- the pin
-  /// is process-global, so one batch option covers all lanes (the
-  /// sanitizer CI pins "scalar" here to keep reports readable).  The
-  /// tiers are bitwise identical.
-  std::string kernel_dispatch = "auto";
-  /// State ordering of every expanded chain ("none" / "level" / "rcm");
+  /// State ordering of every expanded chain ("none" / "level");
   /// see core::ApproximationOptions::reorder.
   std::string reorder = "none";
   /// Worker processes per solve of the "sharded" engine; forwarded to

@@ -505,8 +505,7 @@ std::vector<std::vector<double>> ShardedBackend::solve(
     const markov::Ctmc& chain, const std::vector<double>& initial,
     const std::vector<double>& times, const PointCallback& on_point) {
   markov::check_transient_arguments(chain, initial, times);
-  const double rate = markov::UniformizationDriver::select_rate(
-      chain, options_.uniformization_rate);
+  const double rate = markov::UniformizationDriver::select_rate(chain);
 
   std::vector<std::uint32_t> seeds;
   for (std::size_t i = 0; i < initial.size(); ++i) {

@@ -10,7 +10,6 @@
 #include "kibamrm/engine/ooc_backend.hpp"
 #include "kibamrm/engine/parallel_backend.hpp"
 #include "kibamrm/engine/sharded_backend.hpp"
-#include "kibamrm/linalg/kernels.hpp"
 #include "kibamrm/linalg/shard_plan.hpp"
 
 namespace kibamrm::engine {
@@ -84,7 +83,6 @@ GatherShardPlan plan_gather_shards(std::span<const std::uint32_t> row_counts,
 
 markov::TransientOptions transient_options(const BackendOptions& options) {
   return {.epsilon = options.epsilon,
-          .uniformization_rate = options.uniformization_rate,
           .renormalize = options.renormalize,
           .collect_results = options.collect_distributions,
           .steady_state_detection = options.steady_state_detection};
@@ -92,10 +90,6 @@ markov::TransientOptions transient_options(const BackendOptions& options) {
 
 std::unique_ptr<TransientBackend> make_backend(std::string_view name,
                                                const BackendOptions& options) {
-  // The kernel tier is process-global state (see linalg/kernels.hpp);
-  // applying it here covers every construction path, including the
-  // per-lane backends of ScenarioBatch.  "auto" is a no-op.
-  linalg::kernels::apply_dispatch(options.kernel_dispatch);
   const auto it = registry().find(name);
   if (it == registry().end()) {
     std::ostringstream message;

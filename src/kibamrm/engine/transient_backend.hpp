@@ -125,9 +125,6 @@ struct BackendOptions {
   /// or the relative local-error tolerance of the adaptive stepper.  The
   /// dense backend is accurate to the Pade approximant and ignores it.
   double epsilon = 1e-10;
-  /// Uniformisation rate; 0 selects 1.02 * max_exit_rate automatically.
-  /// Uniformisation backend only.
-  double uniformization_rate = 0.0;
   /// Re-normalise the distribution after every output point to counter
   /// accumulated round-off on long curves.
   bool renormalize = true;
@@ -151,11 +148,6 @@ struct BackendOptions {
   /// exponential per step; ~30 is the EXPOKIT sweet spot for chains of
   /// this stiffness.  Other backends ignore it.
   std::size_t krylov_dim = 30;
-  /// Krylov backend: cap on adaptive sub-steps per time increment before
-  /// the solve fails with NumericalError -- a runaway-splitting guard, not
-  /// a tuning knob (stiff battery chains finish in tens to hundreds of
-  /// sub-steps).  Other backends ignore it.
-  std::size_t krylov_max_substeps = 500000;
   /// Krylov backend: adapt the Arnoldi subspace dimension between
   /// sub-steps within [4, krylov_dim] -- grow when trial steps get
   /// rejected, shrink on sustained error-budget slack or an early
@@ -172,24 +164,6 @@ struct BackendOptions {
   /// $TMPDIR (falling back to /tmp).  The file is unlinked while open, so
   /// it never outlives the solve.  Other backends ignore it.
   std::string spill_dir = "";
-  /// Out-of-core backend: attempt O_DIRECT when streaming tiles back
-  /// (silently falls back to buffered reads plus posix_fadvise readahead
-  /// on filesystems that refuse the flag, e.g. tmpfs).  Off by default:
-  /// buffered streaming lets the page cache absorb whatever part of the
-  /// tile file fits -- cache pages are kernel memory, so they count
-  /// against neither RSS nor an address-space cap -- while O_DIRECT turns
-  /// every re-streamed tile into a device round trip.  Turn it on for
-  /// working sets that genuinely dwarf RAM, where cache hits are rare and
-  /// cache pollution hurts the rest of the machine.  Results are bitwise
-  /// identical either way.  Other backends ignore it.
-  bool spill_direct_io = false;
-  /// Kernel dispatch for the linalg::kernels vector layer, applied
-  /// process-globally by make_backend(): "auto" keeps the current process
-  /// setting (CPUID-detected unless already pinned), "scalar" / "avx2" /
-  /// "avx512" pin a tier (results are bitwise identical across them; an
-  /// unavailable tier falls back to the best supported one with a stderr
-  /// note).  See linalg/kernels.hpp.
-  std::string kernel_dispatch = "auto";
   /// Sharded backend: worker processes the solve forks, each owning one
   /// contiguous level band of the compacted transpose.  1 still forks a
   /// single worker (the full coordinator/worker protocol runs, which is

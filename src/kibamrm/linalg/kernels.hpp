@@ -34,11 +34,11 @@
 //     loops only appear in the element-wise kernels, where per-element
 //     rounding makes order irrelevant.
 //
-// The active tier is process-global: CPUID picks the default, the
-// KIBAMRM_KERNELS environment variable ("scalar" / "avx2" / "avx512" /
-// "auto") overrides it at startup, and set_dispatch() pins it
-// programmatically (CLI --kernels, BackendOptions::kernel_dispatch,
-// sanitizer CI).
+// The active tier is process-global state, set in one place: CPUID picks
+// the default, the KIBAMRM_KERNELS environment variable ("scalar" /
+// "avx2" / "avx512" / "auto") overrides it at startup, and set_dispatch()
+// / apply_dispatch() pin it programmatically (a driver's --kernels,
+// sanitizer CI).  Constructing a solver never touches it.
 #pragma once
 
 #include <cstddef>

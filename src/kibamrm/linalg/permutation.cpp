@@ -98,118 +98,6 @@ CsrMatrix Permutation::permuted(const CsrMatrix& matrix) const {
   return builder.build();
 }
 
-Permutation Permutation::reverse_cuthill_mckee(const CsrMatrix& pattern) {
-  KIBAMRM_REQUIRE(pattern.rows() == pattern.cols(),
-                  "reverse_cuthill_mckee: matrix must be square");
-  const std::size_t n = pattern.rows();
-  const auto row_ptr = pattern.row_pointers();
-  const auto col_idx = pattern.column_indices();
-
-  // Symmetrised adjacency (A + A^T, diagonal dropped) in CSR form.
-  std::vector<std::uint32_t> degree(n, 0);
-  for (std::size_t row = 0; row < n; ++row) {
-    for (std::uint32_t k = row_ptr[row]; k < row_ptr[row + 1]; ++k) {
-      const std::uint32_t col = col_idx[k];
-      if (col == row) continue;
-      ++degree[row];
-      ++degree[col];
-    }
-  }
-  std::vector<std::uint32_t> adj_ptr(n + 1, 0);
-  for (std::size_t i = 0; i < n; ++i) adj_ptr[i + 1] = adj_ptr[i] + degree[i];
-  std::vector<std::uint32_t> adj(adj_ptr[n]);
-  std::vector<std::uint32_t> fill(adj_ptr.begin(), adj_ptr.end() - 1);
-  for (std::size_t row = 0; row < n; ++row) {
-    for (std::uint32_t k = row_ptr[row]; k < row_ptr[row + 1]; ++k) {
-      const std::uint32_t col = col_idx[k];
-      if (col == row) continue;
-      adj[fill[row]++] = col;
-      adj[fill[col]++] = static_cast<std::uint32_t>(row);
-    }
-  }
-  // Duplicate edges (an entry stored in both triangles) only skew the BFS
-  // tie-break, never the visited set; deduplicate anyway so degrees mean
-  // what Cuthill-McKee assumes.
-  std::vector<std::uint32_t> true_degree(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto begin = adj.begin() + adj_ptr[i];
-    const auto end = adj.begin() + fill[i];
-    std::sort(begin, end);
-    true_degree[i] =
-        static_cast<std::uint32_t>(std::unique(begin, end) - begin);
-  }
-
-  std::vector<std::uint32_t> order;  // order[k] = old index visited k-th
-  order.reserve(n);
-  std::vector<std::uint8_t> visited(n, 0);
-  std::vector<std::uint32_t> frontier;
-  // Discovery marks for the component pre-pass; components are disjoint,
-  // so the marks never need resetting between seeds.
-  std::vector<std::uint8_t> seen(n, 0);
-  // Min-degree start per component, scanned in index order so the result
-  // is deterministic.
-  for (std::size_t seed_scan = 0; seed_scan < n; ++seed_scan) {
-    if (visited[seed_scan]) continue;
-    std::uint32_t start = static_cast<std::uint32_t>(seed_scan);
-    // Cheapest useful peripheral heuristic: the minimum-degree vertex of
-    // the component containing seed_scan.  One BFS discovers the
-    // component; its min-degree member restarts the numbering sweep.
-    {
-      std::vector<std::uint32_t> component{start};
-      seen[start] = 1;
-      for (std::size_t head = 0; head < component.size(); ++head) {
-        const std::uint32_t v = component[head];
-        for (std::uint32_t k = adj_ptr[v]; k < adj_ptr[v] + true_degree[v];
-             ++k) {
-          const std::uint32_t w = adj[k];
-          if (!seen[w]) {
-            seen[w] = 1;
-            component.push_back(w);
-          }
-        }
-      }
-      for (const std::uint32_t v : component) {
-        if (true_degree[v] < true_degree[start] ||
-            (true_degree[v] == true_degree[start] && v < start)) {
-          start = v;
-        }
-      }
-    }
-    // Cuthill-McKee sweep of the component.
-    visited[start] = 1;
-    order.push_back(start);
-    std::size_t head = order.size() - 1;
-    while (head < order.size()) {
-      const std::uint32_t v = order[head++];
-      frontier.clear();
-      for (std::uint32_t k = adj_ptr[v]; k < adj_ptr[v] + true_degree[v];
-           ++k) {
-        const std::uint32_t w = adj[k];
-        if (!visited[w]) {
-          visited[w] = 1;
-          frontier.push_back(w);
-        }
-      }
-      std::sort(frontier.begin(), frontier.end(),
-                [&](std::uint32_t a, std::uint32_t b) {
-                  return true_degree[a] != true_degree[b]
-                             ? true_degree[a] < true_degree[b]
-                             : a < b;
-                });
-      order.insert(order.end(), frontier.begin(), frontier.end());
-    }
-  }
-
-  // Reverse the visit order; new_of_old inverts the order array.
-  std::vector<std::uint32_t> new_of_old(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    new_of_old[order[k]] = static_cast<std::uint32_t>(n - 1 - k);
-  }
-  Permutation p;
-  p.new_of_old_ = std::move(new_of_old);
-  return p;
-}
-
 StructureStats structure_stats(const CsrMatrix& matrix) {
   const auto row_ptr = matrix.row_pointers();
   const auto col_idx = matrix.column_indices();

@@ -5,12 +5,11 @@
 // within int16 of the row -- both are properties of the state numbering,
 // not of the chain.  The natural numbering of core/expanded_ctmc keeps
 // the workload state innermost, which alternates row structure every
-// other row and defeats grouping entirely (the PR 5 measurement); a
-// level-major or reverse Cuthill-McKee renumbering exposes the banded
-// structure the kernels want.  This header is the permutation algebra
-// those renumberings share: build, apply, invert, compose -- including
-// composition with the reachable-closure compaction, which is itself
-// just an (injective) index map.
+// other row and defeats grouping entirely; the level-major renumbering
+// exposes the banded structure the kernels want.  This header is the
+// permutation algebra renumberings use: build, apply, invert, compose --
+// including composition with the reachable-closure compaction, which is
+// itself just an (injective) index map.
 //
 // Convention: a Permutation stores new_of_old, i.e. p[i] is the new index
 // of old state i.  apply() moves data old -> new (out[p[i]] = in[i]);
@@ -65,13 +64,6 @@ class Permutation {
   /// Symmetric permutation B(p[i], p[j]) = A(i, j) of a square matrix.
   CsrMatrix permuted(const CsrMatrix& matrix) const;
 
-  /// Reverse Cuthill-McKee over the symmetrised sparsity pattern of a
-  /// square matrix (diagonal ignored): per connected component, a
-  /// breadth-first sweep from a minimum-degree start with neighbours
-  /// visited in ascending-degree order, then the whole numbering
-  /// reversed.  The classic bandwidth-minimising heuristic.
-  static Permutation reverse_cuthill_mckee(const CsrMatrix& pattern);
-
  private:
   std::vector<std::uint32_t> new_of_old_;
 };
@@ -91,7 +83,7 @@ struct StructureStats {
   std::uint64_t longest_uniform_run = 0;
   /// Rows whose entire column-offset pattern (col - row, per entry)
   /// repeats the previous row's -- "diagonal runs", the structure an
-  /// RCM/level-banded numbering produces in bulk.  Inside one, entry e of
+  /// level-banded numbering produces in bulk.  Inside one, entry e of
   /// consecutive rows reads consecutive x addresses, which is what the
   /// uniform-segment SIMD kernels and the software-prefetch heuristic
   /// key on; unlike groupable_rows this requires identical offsets, not

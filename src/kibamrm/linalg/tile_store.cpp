@@ -275,7 +275,7 @@ TileStore TileStore::build(const CsrMatrix& generator,
 
   // Diagonal-run structure stats, computed on the fly over the transpose
   // rows in order (a run = consecutive rows repeating the same offset
-  // pattern; on an RCM/level-banded chain these are the rows a
+  // pattern; on a level-banded chain these are the rows a
   // band-sliding kernel could stream without re-decoding).
   std::vector<std::int32_t> previous_offsets;
   bool have_previous = false;
@@ -495,21 +495,17 @@ TileStore TileStore::build(const CsrMatrix& generator,
   file.sync();
   file.close();
 
-  return open(path, options);
+  return open(path);
 }
 
-TileStore TileStore::open(const std::string& path,
-                          const TileStoreOptions& options) {
+TileStore TileStore::open(const std::string& path) {
   TileStore store;
-  // Header and index read through a plain buffered descriptor (O_DIRECT
-  // would constrain these small unaligned reads); the streaming
-  // descriptor opens separately so slab reads can go direct.
-  common::SpillFile metadata = common::SpillFile::open_readonly(path, false);
-  const std::uint64_t file_size = metadata.size();
+  store.file_ = common::SpillFile::open_readonly(path);
+  const std::uint64_t file_size = store.file_.size();
   FileHeader header{};
   KIBAMRM_REQUIRE(file_size >= sizeof(FileHeader),
                   "tile store '" + path + "': file shorter than its header");
-  metadata.read_exact(&header, sizeof(header), 0);
+  store.file_.read_exact(&header, sizeof(header), 0);
   if (std::memcmp(header.magic, kMagic, sizeof(kMagic)) != 0) {
     throw Error("tile store '" + path + "': bad magic (not a tile spill "
                 "file, or the header is corrupt)");
@@ -528,8 +524,8 @@ TileStore TileStore::open(const std::string& path,
   }
   store.tiles_.resize(header.tile_count);
   if (header.tile_count > 0) {
-    metadata.read_exact(store.tiles_.data(), index_bytes,
-                        header.index_offset);
+    store.file_.read_exact(store.tiles_.data(), index_bytes,
+                           header.index_offset);
   }
   if (common::fnv1a64(store.tiles_.data(), index_bytes) !=
       header.index_checksum) {
@@ -565,8 +561,6 @@ TileStore TileStore::open(const std::string& path,
     throw Error("tile store '" + path +
                 "': tile index does not cover every row");
   }
-  metadata.close();
-  store.file_ = common::SpillFile::open_readonly(path, options.direct_io);
   store.validated_.assign(store.tiles_.size(), 0);
   return store;
 }
@@ -574,15 +568,8 @@ TileStore TileStore::open(const std::string& path,
 void TileStore::read_tile(std::size_t tile, common::AlignedBuffer& buffer) {
   KIBAMRM_REQUIRE(tile < tiles_.size(), "tile store: tile out of range");
   const TileInfo& info = tiles_[tile];
-  // O_DIRECT requires sector-aligned lengths; every slab is followed by
-  // alignment padding (or the index block), so the rounded read never
-  // passes EOF.
-  const std::size_t read_bytes = file_.direct_active()
-                                     ? round_up(info.slab_bytes, kFileAlign)
-                                     : info.slab_bytes;
-  buffer.resize(read_bytes);
-  file_.read_exact(buffer.data(), read_bytes, info.file_offset);
   buffer.resize(info.slab_bytes);
+  file_.read_exact(buffer.data(), info.slab_bytes, info.file_offset);
   if (!validated_[tile]) {
     if (common::fnv1a64(buffer.data(), info.slab_bytes) != info.checksum) {
       throw Error("tile store '" + file_.path() + "': tile " +

@@ -22,7 +22,7 @@
 //
 // Slab encodings (chosen per tile, narrowest that fits):
 //   kDict16Off16   uint16 dictionary ids + int16 (col - row) offsets --
-//                  the level/RCM-banded battery chains
+//                  the level-banded battery chains
 //   kDict16Off32   int32 offsets for tiles whose band escapes int16
 //   kInlineOff32   raw doubles per entry for tiles with > 65536 distinct
 //                  values (no dictionary); always representable
@@ -54,10 +54,6 @@ struct TileStoreOptions {
   /// estimated slab reaches this many bytes (>= 1; a huge value yields a
   /// single resident tile, degenerating to in-memory streaming).
   std::size_t tile_bytes = 8ull << 20;
-  /// Attempt O_DIRECT when streaming tiles back (falls back to buffered
-  /// reads where refused); buffered IO additionally issues
-  /// posix_fadvise(WILLNEED) ahead of each tile.
-  bool direct_io = false;
 };
 
 /// Structure counters gathered during the streaming build (the ooc
@@ -83,8 +79,7 @@ class TileStore {
 
   /// Opens an existing store read-only and validates header + index
   /// checksums; slab payloads validate on first read.
-  static TileStore open(const std::string& path,
-                        const TileStoreOptions& options);
+  static TileStore open(const std::string& path);
 
   TileStore(TileStore&&) = default;
   TileStore& operator=(TileStore&&) = default;
@@ -110,7 +105,6 @@ class TileStore {
   std::uint64_t payload_bytes() const { return payload_bytes_; }
   /// Full spill-file size including header, padding and index.
   std::uint64_t file_bytes() const { return file_.size(); }
-  bool direct_io_active() const { return file_.direct_active(); }
   const TileBuildStats& build_stats() const { return build_stats_; }
 
   /// Reads tile `tile` into `buffer` (resized to the slab).  The first

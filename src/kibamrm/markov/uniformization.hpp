@@ -43,7 +43,8 @@ struct TransientOptions {
   double epsilon = 1e-10;
   /// Uniformisation rate; 0 selects 1.02 * max_exit_rate automatically.
   /// (A rate slightly above the maximum keeps the diagonal of P positive,
-  /// which damps oscillation in stiff chains.)
+  /// which damps oscillation in stiff chains.)  Read by TransientSolver
+  /// only; the engines always select the rate automatically.
   double uniformization_rate = 0.0;
   /// Re-normalise the distribution after every time increment to counter
   /// accumulated round-off on long curves.
@@ -161,7 +162,7 @@ class UniformizationDriver {
   /// The uniformisation rate for `chain`: `requested`, or 1.02 *
   /// max_exit_rate when 0 (1 for an all-absorbing generator).  Throws
   /// InvalidArgument when it falls below the maximal exit rate.
-  static double select_rate(const Ctmc& chain, double requested);
+  static double select_rate(const Ctmc& chain, double requested = 0.0);
 
   /// Solves pi(t) for each t in `times` (sorted, validated by the caller)
   /// through `executor`.  `reachable` maps compact loop indices to full

@@ -52,7 +52,7 @@ void exercise(const std::uint8_t* data, std::size_t size) {
 
   try {
     kibamrm::linalg::TileStore store =
-        kibamrm::linalg::TileStore::open(path, {});
+        kibamrm::linalg::TileStore::open(path);
     if (store.rows() == 0 || store.rows() > kMaxRows ||
         store.max_slab_bytes() > kMaxSlabBytes) {
       std::remove(path.c_str());

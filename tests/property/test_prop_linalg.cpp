@@ -18,6 +18,7 @@
 #include <sstream>
 #include <vector>
 
+#include "kibamrm/common/random.hpp"
 #include "kibamrm/linalg/csr_matrix.hpp"
 #include "kibamrm/linalg/dense_matrix.hpp"
 #include "kibamrm/linalg/expm.hpp"
@@ -114,15 +115,20 @@ TEST(PermutationProps, SymmetricConjugationPreservesEntries) {
       "PermutedMatrixEntries", ctmc_gen(options), [](const CtmcCase& value) {
         const markov::Ctmc chain = value.chain();
         const linalg::CsrMatrix& q = chain.generator();
-        // Derive a deterministic permutation from the case itself: RCM of
-        // the generator pattern (exercises the production path, and stays
-        // reproducible under shrinking).
-        const linalg::Permutation p =
-            linalg::Permutation::reverse_cuthill_mckee(q);
+        // Derive a deterministic permutation from the case itself: a
+        // Fisher-Yates shuffle seeded by its shape, so it stays
+        // reproducible under shrinking.
+        const std::size_t n = q.rows();
+        std::uint64_t state = common::derive_seed(n, q.nonzeros());
+        std::vector<std::uint32_t> map(n);
+        std::iota(map.begin(), map.end(), 0u);
+        for (std::size_t i = n; i > 1; --i) {
+          std::swap(map[i - 1], map[common::splitmix64(state) % i]);
+        }
+        const linalg::Permutation p(std::move(map));
         const linalg::CsrMatrix b = p.permuted(q);
         if (b.nonzeros() != q.nonzeros())
           return Verdict::fail("conjugation changed the entry count");
-        const std::size_t n = q.rows();
         for (std::size_t i = 0; i < n; ++i) {
           for (std::size_t j = 0; j < n; ++j) {
             const double original = q.at(i, j);

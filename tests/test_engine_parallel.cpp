@@ -22,6 +22,7 @@
 #include "kibamrm/engine/scenario_batch.hpp"
 #include "kibamrm/engine/transient_backend.hpp"
 #include "kibamrm/linalg/expm.hpp"
+#include "kibamrm/linalg/kernels.hpp"
 #include "kibamrm/linalg/vector_ops.hpp"
 #include "kibamrm/markov/ctmc.hpp"
 #include "kibamrm/workload/onoff_model.hpp"
@@ -238,10 +239,12 @@ TEST(ScenarioBatch, MatchesSequentialSolvesAndThreadCountInvariant) {
   }
 
   std::vector<std::vector<double>> reference;
+  std::vector<core::ApproximationStats> reference_stats;
   for (const Scenario& scenario : scenarios) {
     core::MarkovianApproximation solver(
         scenario.model, {.delta = scenario.delta, .engine = "uniformization"});
     reference.push_back(solver.solve(times).probabilities());
+    reference_stats.push_back(solver.last_stats());
   }
 
   for (const std::size_t threads : {1u, 3u}) {
@@ -259,10 +262,47 @@ TEST(ScenarioBatch, MatchesSequentialSolvesAndThreadCountInvariant) {
       // engine arithmetic, results only land in different lanes.
       EXPECT_EQ(results[i].curve->probabilities(), reference[i])
           << "threads = " << threads << ", scenario " << i;
-      EXPECT_GT(results[i].stats.expanded_states, 0u);
-      EXPECT_GT(results[i].stats.uniformization_iterations, 0u);
+      // Batched and sequential solves share one stats record type, so
+      // every engine counter matches the sequential solve's.
+      const core::ApproximationStats& stats = results[i].stats;
+      const core::ApproximationStats& expected = reference_stats[i];
+      EXPECT_GT(stats.expanded_states, 0u);
+      EXPECT_GT(stats.uniformization_iterations, 0u);
+      EXPECT_EQ(stats.uniformization_iterations, stats.iterations);
+      EXPECT_EQ(stats.iterations, expected.iterations);
+      EXPECT_EQ(stats.iterations_saved, expected.iterations_saved);
+      EXPECT_EQ(stats.steady_state_hits, expected.steady_state_hits);
+      EXPECT_EQ(stats.time_points, expected.time_points);
+      EXPECT_EQ(stats.time_points, times.size());
+      EXPECT_EQ(stats.active_states, expected.active_states);
+      EXPECT_EQ(stats.active_nonzeros, expected.active_nonzeros);
     }
   }
+}
+
+TEST(KernelDispatch, BackendConstructionKeepsPin) {
+  // The kernel tier is process state, set only by set_dispatch /
+  // apply_dispatch / KIBAMRM_KERNELS: constructing and running solvers
+  // with default options must leave a pin in place.
+  linalg::kernels::set_dispatch(linalg::kernels::Dispatch::kScalar);
+  const auto expect_scalar = [](const char* after) {
+    EXPECT_EQ(linalg::kernels::active_dispatch(),
+              linalg::kernels::Dispatch::kScalar)
+        << "after " << after;
+  };
+  const auto backend = make_backend("parallel");
+  expect_scalar("make_backend");
+  const auto times = core::uniform_grid(6000.0, 20000.0, 3);
+  core::MarkovianApproximation solver(fig8_kibam(), {.delta = 900.0});
+  expect_scalar("MarkovianApproximation construction");
+  solver.solve(times);
+  expect_scalar("MarkovianApproximation::solve");
+  ScenarioBatch batch({.engine = "parallel", .threads = 2});
+  expect_scalar("ScenarioBatch construction");
+  batch.solve_all({{"a", fig8_kibam(), 900.0, times},
+                   {"b", fig8_kibam(), 450.0, times}});
+  expect_scalar("ScenarioBatch::solve_all");
+  linalg::kernels::clear_dispatch();
 }
 
 TEST(ScenarioBatch, SkipsUnsupportedChainsWithoutAborting) {

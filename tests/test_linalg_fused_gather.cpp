@@ -138,7 +138,7 @@ TEST(FusedGatherPlan, RangesComposeBitwise) {
 
 // Constant three-point stencil with a pattern break every `period` rows
 // (an extra entry), so the plan finds many uniform segments separated by
-// single irregular rows -- the shape an RCM-banded battery chain takes.
+// single irregular rows -- the shape a banded battery chain takes.
 CsrMatrix stencil_with_breaks(std::size_t n, std::size_t period) {
   CooBuilder builder(n, n);
   for (std::size_t i = 0; i < n; ++i) {

@@ -150,7 +150,7 @@ TEST(TileStore, RoundTripReopenMatchesFreshBuild) {
   }
   // Reopen from disk only; every tile must validate and the kernel must
   // agree with the in-memory reference.
-  TileStore reopened = TileStore::open(guard.path, {});
+  TileStore reopened = TileStore::open(guard.path);
   EXPECT_EQ(reopened.nonzeros(), nonzeros);
   ASSERT_EQ(reopened.tile_count(), tile_rows.size());
   for (std::size_t t = 0; t < reopened.tile_count(); ++t) {
@@ -207,7 +207,7 @@ TEST(TileStore, CorruptSlabByteThrowsOnRead) {
   }
   // Header and index are intact, so open succeeds; the checksum catches
   // the damage on the first read of the poisoned tile.
-  TileStore store = TileStore::open(guard.path, {});
+  TileStore store = TileStore::open(guard.path);
   common::AlignedBuffer slab;
   EXPECT_THROW(store.read_tile(0, slab), Error);
 }
@@ -228,7 +228,7 @@ TEST(TileStore, CorruptHeaderThrowsOnOpen) {
     const char poison = 0x7f;
     file.write(&poison, 1);
   }
-  EXPECT_THROW(TileStore::open(guard.path, {}), Error);
+  EXPECT_THROW(TileStore::open(guard.path), Error);
 }
 
 TEST(TileStore, TruncatedFileThrowsNotUB) {
@@ -254,7 +254,7 @@ TEST(TileStore, TruncatedFileThrowsNotUB) {
     }
     PathGuard cut_guard{guard.path + ".cut"};
     try {
-      TileStore store = TileStore::open(cut_guard.path, {});
+      TileStore store = TileStore::open(cut_guard.path);
       common::AlignedBuffer slab;
       for (std::size_t t = 0; t < store.tile_count(); ++t) {
         store.read_tile(t, slab);
@@ -274,7 +274,7 @@ TEST(TileStore, RejectsBadArguments) {
   EXPECT_THROW(TileStore::build(ref.generator, ref.reachable, 0.0, {},
                                 guard.path),
                Error);
-  EXPECT_THROW(TileStore::open("/nonexistent/dir/nofile.spill", {}), Error);
+  EXPECT_THROW(TileStore::open("/nonexistent/dir/nofile.spill"), Error);
   EXPECT_THROW(common::resolve_spill_dir("/nonexistent/dir/zzz"),
                InvalidArgument);
 }

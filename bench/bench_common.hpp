@@ -22,10 +22,11 @@
 //                   unavailable SIMD tier falls back to the best supported
 //                   one with a stderr note.)
 //   --reorder R     state ordering of the expanded chain:
-//                   none | level (default none; level packs the
+//                   level | none (default level; level packs the
 //                   charge-major runs the SIMD gather tiers vectorise
-//                   across -- results are inverse-permuted, so curves
-//                   agree with none)
+//                   across, none keeps the natural numbering for
+//                   comparison -- the curve reads the empty layer through
+//                   the permutation, so curves agree)
 #pragma once
 
 #include <chrono>
@@ -57,9 +58,9 @@ inline std::string kernel_choice(const common::CliArgs& args) {
                          {"auto", "scalar", "avx2", "avx512"});
 }
 
-/// The --reorder choice, validated; "none" when absent.
+/// The --reorder choice, validated; "level" when absent.
 inline std::string reorder_choice(const common::CliArgs& args) {
-  return args.get_choice("reorder", "none", {"none", "level"});
+  return args.get_choice("reorder", "level", {"none", "level"});
 }
 
 /// Applies --kernels to the process-global dispatch; every driver calls

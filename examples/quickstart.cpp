@@ -11,7 +11,7 @@
 //                                    krylov|ooc|sharded]
 //                         [--threads N]
 //                         [--kernels auto|scalar|avx2|avx512]
-//                         [--reorder none|level]
+//                         [--reorder level|none]
 //                         [--tile-mb N] [--spill-dir PATH]   (ooc engine)
 //                         [--shards N]                    (sharded engine)
 //
@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
   linalg::kernels::apply_dispatch(args.get_choice(
       "kernels", "auto", {"auto", "scalar", "avx2", "avx512"}));
   const std::string reorder =
-      args.get_choice("reorder", "none", {"none", "level"});
+      args.get_choice("reorder", "level", {"none", "level"});
   const std::string engine =
       args.get_choice("engine", "uniformization", engine::backend_names());
   const auto threads =
@@ -86,9 +86,11 @@ int main(int argc, char** argv) {
                                 args.get_positive_int("tile-mb", 8))
                             << 20,
               .spill_dir = args.get_directory("spill-dir", ""),
-              // --reorder renumbers the expanded chain's states (level
-              // packs the runs the SIMD gather tiers want; results are
-              // inverse-permuted, so the curve is the same either way).
+              // --reorder numbers the expanded chain's states (the
+              // default, level, packs the runs the SIMD gather tiers
+              // want; none keeps the natural order).  The curve reads
+              // the empty layer through the permutation, so it is the
+              // same either way.
               .reorder = reorder,
               // --shards forks that many worker processes under the
               // "sharded" engine (each running --threads lanes); other

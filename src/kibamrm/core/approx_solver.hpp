@@ -44,12 +44,13 @@ struct ApproximationOptions {
   /// forwarded to engine::BackendOptions.  Ignored by other engines.
   std::size_t tile_bytes = 8ull << 20;
   std::string spill_dir = "";
-  /// State ordering of the expanded chain ("none" / "level", see
+  /// State ordering of the expanded chain ("level" / "none", see
   /// core::StateOrdering).  Reordering never changes the solved curve --
   /// it renumbers the states so the gather kernels see uniform row runs
   /// -- and the ExpandedChain carries the permutation for anything that
-  /// reads raw distributions.
-  std::string reorder = "none";
+  /// reads raw distributions.  "none" keeps the natural numbering for
+  /// comparison.
+  std::string reorder = "level";
   /// Worker processes of the "sharded" engine (level-banded multi-process
   /// uniformisation); forwarded to engine::BackendOptions::shards.
   /// Ignored by the other engines.
@@ -64,9 +65,9 @@ struct ApproximationStats : engine::BackendStats {
   std::size_t generator_nonzeros = 0;
   /// Engine that produced the last curve.
   std::string engine;
-  /// State ordering the expanded chain was built with ("none" when the
-  /// natural numbering was kept).
-  std::string reorder = "none";
+  /// State ordering the expanded chain was built with ("level", or
+  /// "none" when the natural numbering was kept).
+  std::string reorder = "level";
   /// Always equal to `iterations` (the engine's work unit: DTMC steps for
   /// uniformisation, RHS evaluations for the adaptive stepper,
   /// exponentials for dense); the Sec. 6.1 experiments read it under this

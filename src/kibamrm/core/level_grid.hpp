@@ -39,6 +39,17 @@ class LevelGrid {
     return (j1 * (l2_ + 1) + j2) * n_ + i;
   }
 
+  /// Grid coordinates of a flat index; the inverse of index().
+  struct Coordinates {
+    std::size_t i;
+    std::size_t j1;
+    std::size_t j2;
+  };
+  Coordinates coordinates(std::size_t flat) const {
+    const std::size_t pair = flat / n_;
+    return {flat % n_, pair / (l2_ + 1), pair % (l2_ + 1)};
+  }
+
   /// Initial levels: the reward a lies in (j Delta, (j+1) Delta].
   std::size_t initial_available_level() const { return j1_init_; }
   std::size_t initial_bound_level() const { return j2_init_; }

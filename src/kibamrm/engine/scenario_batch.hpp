@@ -103,7 +103,7 @@ struct ScenarioBatchOptions {
   std::string spill_dir = "";
   /// State ordering of every expanded chain ("none" / "level");
   /// see core::ApproximationOptions::reorder.
-  std::string reorder = "none";
+  std::string reorder = "level";
   /// Worker processes per solve of the "sharded" engine; forwarded to
   /// every lane's BackendOptions::shards.  Other engines ignore it.
   std::size_t shards = 1;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "kibamrm/common/error.hpp"
 
@@ -61,6 +62,36 @@ CsrMatrix CooBuilder::build() {
 CsrMatrix::CsrMatrix(std::size_t rows, std::size_t cols)
     : rows_(rows), cols_(cols), row_ptr_(rows + 1, 0) {
   KIBAMRM_REQUIRE(rows > 0 && cols > 0, "matrix dimensions must be positive");
+}
+
+CsrMatrix CsrMatrix::from_rows(std::size_t rows, std::size_t cols,
+                               std::vector<std::uint32_t> row_ptr,
+                               std::vector<std::uint32_t> col_idx,
+                               std::vector<double> values) {
+  CsrMatrix result(rows, cols);
+  KIBAMRM_REQUIRE(row_ptr.size() == rows + 1,
+                  "from_rows: row_ptr must hold rows + 1 entries");
+  KIBAMRM_REQUIRE(col_idx.size() == values.size(),
+                  "from_rows: col_idx and values differ in length");
+  KIBAMRM_REQUIRE(row_ptr.front() == 0 && row_ptr.back() == values.size(),
+                  "from_rows: row_ptr must run from 0 to nnz");
+  // Monotone first, so every row's entry range lies inside [0, nnz).
+  for (std::size_t row = 0; row < rows; ++row) {
+    KIBAMRM_REQUIRE(row_ptr[row] <= row_ptr[row + 1],
+                    "from_rows: row_ptr is not monotone");
+  }
+  for (std::size_t row = 0; row < rows; ++row) {
+    for (std::uint32_t k = row_ptr[row]; k < row_ptr[row + 1]; ++k) {
+      KIBAMRM_REQUIRE(col_idx[k] < cols, "from_rows: column out of range");
+      KIBAMRM_REQUIRE(k == row_ptr[row] || col_idx[k - 1] < col_idx[k],
+                      "from_rows: row columns unsorted or duplicated");
+      KIBAMRM_REQUIRE(values[k] != 0.0, "from_rows: explicit zero stored");
+    }
+  }
+  result.row_ptr_ = std::move(row_ptr);
+  result.col_idx_ = std::move(col_idx);
+  result.values_ = std::move(values);
+  return result;
 }
 
 void CsrMatrix::multiply(const std::vector<double>& x,

@@ -62,6 +62,17 @@ class CsrMatrix {
   /// Empty matrix of the given shape.
   CsrMatrix(std::size_t rows, std::size_t cols);
 
+  /// Adopts ready-made CSR arrays (for emitters that produce rows in
+  /// order and need no triplet sort).  Validates the invariants every
+  /// kernel relies on: row_ptr has rows + 1 monotone entries from 0 to
+  /// nnz, each row's columns are strictly ascending (sorted, no
+  /// duplicates) and in range, and no stored value is zero.  Throws
+  /// InvalidArgument otherwise.
+  static CsrMatrix from_rows(std::size_t rows, std::size_t cols,
+                             std::vector<std::uint32_t> row_ptr,
+                             std::vector<std::uint32_t> col_idx,
+                             std::vector<double> values);
+
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
   std::size_t nonzeros() const { return values_.size(); }

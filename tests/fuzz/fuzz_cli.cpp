@@ -55,7 +55,7 @@ void exercise(const std::vector<std::string>& tokens) {
     args.get_choice("engine", "uniformization",
                     {"uniformization", "parallel", "adaptive", "dense",
                      "krylov"});
-    args.get_choice("reorder", "none", {"none", "level"});
+    args.get_choice("reorder", "level", {"none", "level"});
     args.declare("delta")
         .declare("points")
         .declare("runs")

@@ -178,7 +178,14 @@ TEST(KrylovAdaptiveDim, SavesOrthogonalisationWorkOnTheMildChain) {
   // large chains (a smaller m legitimately spends a few *more* matvecs
   // on extra sub-steps -- that trade is the point): the summed dim^2
   // work must drop measurably against the pinned dimension.
-  const auto expanded = core::build_expanded_chain(fig8_kibam(), 300.0);
+  //
+  // The controller's accept/shrink decisions sit on error estimates near
+  // their thresholds, so the rounding of the state numbering steers its
+  // path on this small chain: the natural numbering drops the work by
+  // 27% (17012 vs 23400), the level-major one by 11% (20732 vs 23400).
+  // The test pins the natural numbering it was written against.
+  const auto expanded = core::build_expanded_chain(
+      fig8_kibam(), 300.0, core::StateOrdering::kNone);
   const auto times = core::uniform_grid(6000.0, 20000.0, 15);
   auto adaptive = make_backend("krylov");
   auto fixed = make_backend("krylov", {.krylov_adaptive_dim = false});

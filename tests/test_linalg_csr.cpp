@@ -1,6 +1,7 @@
 // Tests for the COO builder and CSR matrix kernels.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "kibamrm/common/error.hpp"
@@ -51,6 +52,49 @@ TEST(CooBuilder, UnsortedInsertionOrderIsFine) {
   EXPECT_DOUBLE_EQ(m.at(0, 2), 2.0);
   EXPECT_DOUBLE_EQ(m.at(2, 0), 3.0);
   EXPECT_DOUBLE_EQ(m.at(2, 1), 4.0);
+}
+
+TEST(CsrMatrix, FromRowsAdoptsValidArrays) {
+  const CsrMatrix reference = small_matrix();
+  const CsrMatrix m =
+      CsrMatrix::from_rows(3, 3, {0, 2, 2, 4}, {0, 2, 0, 1},
+                           {1.0, 2.0, 3.0, 4.0});
+  EXPECT_EQ(m.nonzeros(), 4u);
+  EXPECT_TRUE(std::ranges::equal(m.row_pointers(), reference.row_pointers()));
+  EXPECT_TRUE(
+      std::ranges::equal(m.column_indices(), reference.column_indices()));
+  EXPECT_TRUE(std::ranges::equal(m.values(), reference.values()));
+  // All-empty rows are a valid matrix too.
+  EXPECT_EQ(CsrMatrix::from_rows(2, 2, {0, 0, 0}, {}, {}).nonzeros(), 0u);
+}
+
+TEST(CsrMatrix, FromRowsRejectsMalformedRows) {
+  // Non-monotone row pointers (row 1 would run backwards).
+  EXPECT_THROW(CsrMatrix::from_rows(3, 3, {0, 3, 2, 4}, {0, 1, 2, 0},
+                                    {1.0, 2.0, 3.0, 4.0}),
+               InvalidArgument);
+  // Unsorted columns within a row.
+  EXPECT_THROW(CsrMatrix::from_rows(2, 3, {0, 2, 2}, {2, 0}, {1.0, 2.0}),
+               InvalidArgument);
+  // Duplicate columns within a row.
+  EXPECT_THROW(CsrMatrix::from_rows(2, 3, {0, 2, 2}, {1, 1}, {1.0, 2.0}),
+               InvalidArgument);
+  // An explicitly stored zero.
+  EXPECT_THROW(CsrMatrix::from_rows(2, 3, {0, 2, 2}, {0, 1}, {1.0, 0.0}),
+               InvalidArgument);
+  // A column outside the matrix.
+  EXPECT_THROW(CsrMatrix::from_rows(2, 3, {0, 1, 1}, {3}, {1.0}),
+               InvalidArgument);
+  // Shape mismatches: row_ptr of the wrong length, row_ptr not ending at
+  // nnz or not starting at 0, and col_idx/values of different lengths.
+  EXPECT_THROW(CsrMatrix::from_rows(2, 3, {0, 1}, {0}, {1.0}),
+               InvalidArgument);
+  EXPECT_THROW(CsrMatrix::from_rows(2, 3, {0, 1, 2}, {0}, {1.0}),
+               InvalidArgument);
+  EXPECT_THROW(CsrMatrix::from_rows(2, 3, {1, 1, 1}, {0}, {1.0}),
+               InvalidArgument);
+  EXPECT_THROW(CsrMatrix::from_rows(2, 3, {0, 1, 1}, {0, 1}, {1.0}),
+               InvalidArgument);
 }
 
 TEST(CsrMatrix, MultiplyColumnVector) {

@@ -17,6 +17,7 @@
 #include "kibamrm/common/error.hpp"
 #include "kibamrm/core/approx_solver.hpp"
 #include "kibamrm/core/expanded_ctmc.hpp"
+#include "kibamrm/engine/scenario_batch.hpp"
 #include "kibamrm/engine/transient_backend.hpp"
 #include "kibamrm/linalg/csr_matrix.hpp"
 #include "kibamrm/linalg/permutation.hpp"
@@ -145,6 +146,27 @@ TEST(Permutation, LevelOrderingRaisesFig8GroupableRows) {
   EXPECT_GT(stats_level.groupable_fraction(), 0.95);
   EXPECT_GT(stats_level.groupable_fraction(),
             stats_nat.groupable_fraction());
+}
+
+TEST(Permutation, LevelIsTheDefaultOrdering) {
+  // Callers that name no ordering get the level-major chain, and with it
+  // the diagonal runs the uniform-segment gather kernels need.
+  const std::vector<double> times = {8000.0, 12000.0};
+  core::MarkovianApproximation approximation(fig8_model(), {.delta = 100.0});
+  approximation.solve(times);
+  EXPECT_EQ(approximation.last_stats().reorder, "level");
+  EXPECT_GT(approximation.last_stats().diagonal_rows, 0u);
+  EXPECT_EQ(approximation.expanded_chain().ordering,
+            core::StateOrdering::kLevel);
+
+  engine::ScenarioBatch batch;
+  const auto results = batch.solve_all(
+      {{.label = "fig8", .model = fig8_model(), .delta = 100.0,
+        .times = times}});
+  ASSERT_EQ(results.size(), 1u);
+  ASSERT_TRUE(results[0].curve.has_value());
+  EXPECT_EQ(results[0].stats.reorder, "level");
+  EXPECT_GT(results[0].stats.diagonal_rows, 0u);
 }
 
 TEST(Permutation, TransientDistributionInvariantUnderAnyPermutation) {

@@ -40,11 +40,45 @@ constexpr std::size_t kMaxSubsteps = 500000;
 // Adaptive-dimension floor: below four Krylov vectors the a-posteriori
 // estimate loses its second-order term and the controller flails.
 constexpr std::size_t kMinKrylovDim = 4;
-// Grow/shrink quantum: a quarter of the current dimension (at least two),
-// with shrinks gated on two consecutive steps of order-of-magnitude
-// error-budget slack so one benign step cannot trigger a resize.
+// Grow/shrink quantum: a quarter of the current dimension (at least two).
 std::size_t dim_step(std::size_t m) { return std::max<std::size_t>(2, m / 4); }
-constexpr double kSlackFraction = 0.01;
+// A shallower subspace takes over only if its own error estimate passes
+// the next step with a twofold margin, so an estimate right at the
+// threshold cannot trigger a shrink that the next step rejects.
+constexpr double kShrinkMargin = 0.5;
+
+struct ErrorEstimate {
+  double err;  // estimated local error of the step
+  double xm;   // the step controller's exponent
+};
+
+// EXPOKIT's a-posteriori error of a dimension-m step, read off the
+// exponential f of the augmented Hessenberg: |F(m+1,1)| and
+// |F(m+2,1)| ||A v_{m+1}|| are the first- and second-order terms of the
+// error expansion.
+ErrorEstimate error_estimate(const linalg::DenseReal& f, std::size_t m,
+                             double beta, double avnorm) {
+  const double md = static_cast<double>(m);
+  const double p1 = std::abs(beta * f(m, 0));
+  const double p2 = std::abs(beta * f(m + 1, 0)) * avnorm;
+  if (p1 > 10.0 * p2) return {p2, 1.0 / md};
+  if (p1 > p2) return {p1 * p2 / (p1 - p2), 1.0 / md};
+  return {p1, m > 1 ? 1.0 / (md - 1.0) : 1.0 / md};
+}
+
+// EXPOKIT's augmented matrix for dimension m: the (m+1) x m Hessenberg
+// (its last row is h_{m+1,m} e_m^T) plus the chain entry e_{m+2} e_{m+1}^T.
+// Rows m+1 and m+2 of its exponential deliver the error terms above; the
+// zero final column is implied by the tall shape (the expm cache pads).
+linalg::DenseReal augmented_hessenberg(const linalg::DenseReal& hess,
+                                       std::size_t m) {
+  linalg::DenseReal augmented(m + 2, m + 1);
+  for (std::size_t i = 0; i <= m; ++i) {
+    for (std::size_t j = 0; j < m; ++j) augmented(i, j) = hess(i, j);
+  }
+  augmented(m + 1, m) = 1.0;
+  return augmented;
+}
 
 double l2_norm(const std::vector<double>& v) {
   return linalg::kernels::nrm2(v.data(), v.size());
@@ -110,7 +144,6 @@ std::vector<std::vector<double>> KrylovBackend::solve(
   // way down; the learned dimension persists across the increments of
   // this solve, like the controller step.
   current_m_ = m_cap_;
-  slack_streak_ = 0;
 
   const GatherShardPlan shards =
       plan_gather_shards(qt, pool_->thread_count());
@@ -231,8 +264,6 @@ void KrylovBackend::integrate(
     // The subspace dimension this factorisation runs at (adapted between
     // sub-steps, see below); the controller exponents follow it.
     const std::size_t m = current_m_;
-    const double md = static_cast<double>(m);
-    const double xm_default = 1.0 / md;
 
     beta = l2_norm(state);
     if (beta == 0.0) return;
@@ -260,17 +291,7 @@ void KrylovBackend::integrate(
       }
       cache.emplace(hk);
     } else {
-      // EXPOKIT's augmented matrix: the (m+1) x m Hessenberg (its last
-      // row is h_{m+1,m} e_m^T) plus the chain entry e_{m+2} e_{m+1}^T.
-      // Rows m+1 and m+2 of its exponential deliver the first- and
-      // second-order terms of the a-posteriori error expansion; the
-      // zero final column is implied by the tall shape (the cache pads).
-      linalg::DenseReal augmented(m + 2, m + 1);
-      for (std::size_t i = 0; i <= m; ++i) {
-        for (std::size_t j = 0; j < m; ++j) augmented(i, j) = hess_(i, j);
-      }
-      augmented(m + 1, m) = 1.0;
-      cache.emplace(augmented);
+      cache.emplace(augmented_hessenberg(hess_, m));
       matvec(basis_[m], residual_);
       avnorm = l2_norm(residual_);
     }
@@ -288,20 +309,10 @@ void KrylovBackend::integrate(
       const linalg::DenseReal f = cache->expm(attempted);
       ++stats_.hessenberg_expms;
 
-      double err = 0.0;
-      double xm = xm_default;
-      if (!arn.happy_breakdown) {
-        const double p1 = std::abs(beta * f(m, 0));
-        const double p2 = std::abs(beta * f(m + 1, 0)) * avnorm;
-        if (p1 > 10.0 * p2) {
-          err = p2;
-        } else if (p1 > p2) {
-          err = p1 * p2 / (p1 - p2);
-        } else {
-          err = p1;
-          if (m > 1) xm = 1.0 / (md - 1.0);
-        }
-      }
+      const auto [err, xm] =
+          arn.happy_breakdown
+              ? ErrorEstimate{0.0, 1.0 / static_cast<double>(m)}
+              : error_estimate(f, m, beta, avnorm);
 
       double factor;  // the controller's proposed tau multiplier
       if (!std::isfinite(err)) {
@@ -363,24 +374,17 @@ void KrylovBackend::integrate(
             // The subspace closed at k; the state moves, so keep a small
             // margin rather than pinning m = k.
             current_m_ = std::clamp(k + 2, m_floor_, m_cap_);
-            slack_streak_ = 0;
           } else if (rejections > 0) {
             // Accuracy-limited: a deeper subspace lifts the attainable
             // step faster than tau-shrinking re-trials converge.
             current_m_ = std::min(m_cap_, m + dim_step(m));
-            slack_streak_ = 0;
-          } else if (err <= kSlackFraction * attempted * tol) {
-            // Order-of-magnitude budget slack: a shallower subspace
-            // would have passed too.  Two consecutive slack steps guard
-            // against a transient lull; an over-shrink is repaired by
-            // the rejection branch above.
-            if (++slack_streak_ >= 2) {
-              current_m_ =
-                  std::max(m_floor_, m - std::min(m - m_floor_, dim_step(m)));
-              slack_streak_ = 0;
-            }
           } else {
-            slack_streak_ = 0;
+            // The next step is the controller's tau, clipped to at most
+            // one increment (uniform grids repeat the increment); shrink
+            // to the shallowest subspace that would pass it on its own.
+            // An over-shrink is repaired by the rejection branch above.
+            current_m_ = shallowest_passing_dim(m, beta, std::min(tau, dt),
+                                                tol);
           }
         }
         break;
@@ -397,6 +401,28 @@ void KrylovBackend::integrate(
     }
   }
   previous_tau_ = tau;
+}
+
+std::size_t KrylovBackend::shallowest_passing_dim(std::size_t m, double beta,
+                                                  double probe, double tol) {
+  // The leading d columns of the dimension-m factorisation are the
+  // dimension-d Arnoldi factorisation of the same vector, so a shallower
+  // subspace's error estimate costs one small exponential and no matvec:
+  // A v_{d+1} = sum_{i <= d+2} h_{i,d+1} v_i over an orthonormal basis,
+  // so ||A v_{d+1}|| is the norm of Hessenberg column d+1.
+  std::size_t dim = m;
+  while (dim > m_floor_) {
+    const std::size_t d = dim - std::min(dim - m_floor_, dim_step(dim));
+    std::vector<double> column(d + 2);
+    for (std::size_t i = 0; i <= d + 1; ++i) column[i] = hess_(i, d);
+    const linalg::DenseReal f =
+        linalg::ScaledExpmCache(augmented_hessenberg(hess_, d)).expm(probe);
+    ++stats_.hessenberg_expms;
+    const double err = error_estimate(f, d, beta, l2_norm(column)).err;
+    if (!(err <= kShrinkMargin * probe * tol)) break;
+    dim = d;
+  }
+  return dim;
 }
 
 }  // namespace kibamrm::engine

@@ -38,10 +38,11 @@
 //
 // Adaptive subspace dimension: between sub-steps m grows on rejected
 // trials (the projection was too shallow for the attempted step) and
-// shrinks when the a-posteriori estimate sits far inside the budget for
-// consecutive accepted steps or the subspace closed early (happy
-// breakdown) -- so small easy chains stop paying the m = 30 worst-case
-// orthogonalisation and stiff chains stop burning re-stepped trials.
+// shrinks to the shallowest nested subspace whose own error estimate
+// passes the next step with a twofold margin, or to the early-closed
+// subspace of a happy breakdown -- so small easy chains stop paying the
+// m = 30 worst-case orthogonalisation and stiff chains stop burning
+// re-stepped trials.
 // The accept/reject test is unchanged, so adaptivity affects cost only,
 // never the error contract.  BackendOptions::krylov_adaptive_dim pins
 // m = krylov_dim for A/B measurement.
@@ -81,6 +82,13 @@ class KrylovBackend final : public TransientBackend {
                                           std::vector<double>&)>& matvec,
                  std::vector<double>& state, double dt, double anorm);
 
+  /// Smallest dimension, stepping down from m by dim quanta, whose
+  /// estimated error for a step of length `probe` from the current
+  /// factorisation (of a vector of norm beta) stays a twofold margin
+  /// inside the budget probe * tol; m if no shallower one does.
+  std::size_t shallowest_passing_dim(std::size_t m, double beta, double probe,
+                                     double tol);
+
   BackendOptions options_;
   BackendStats stats_;
   std::unique_ptr<common::ThreadPool> pool_;
@@ -98,12 +106,10 @@ class KrylovBackend final : public TransientBackend {
   // (0 = derive the a-priori EXPOKIT guess); reset per solve().
   double previous_tau_ = 0.0;
   // Adaptive subspace dimension, persisted across sub-steps and
-  // increments of one solve: cap = min(krylov_dim, states), floor 4, and
-  // the consecutive-slack counter driving shrinks.
+  // increments of one solve: cap = min(krylov_dim, states), floor 4.
   std::size_t m_cap_ = 1;
   std::size_t m_floor_ = 1;
   std::size_t current_m_ = 1;
-  std::size_t slack_streak_ = 0;
 };
 
 }  // namespace kibamrm::engine

@@ -150,8 +150,8 @@ struct BackendOptions {
   std::size_t krylov_dim = 30;
   /// Krylov backend: adapt the Arnoldi subspace dimension between
   /// sub-steps within [4, krylov_dim] -- grow when trial steps get
-  /// rejected, shrink on sustained error-budget slack or an early
-  /// invariant subspace -- so easy chains stop paying the worst-case
+  /// rejected, shrink when a shallower nested subspace would pass the
+  /// next step or the subspace closes early -- so easy chains stop paying the worst-case
   /// m^2 n orthogonalisation and stiff chains stop re-stepping.  False
   /// pins m = krylov_dim (the fixed-dimension A/B baseline).  Other
   /// backends ignore it.

@@ -106,23 +106,6 @@ TEST_P(ExpandedChainOrdering, GeneratorIsValidatedCtmc) {
   EXPECT_EQ(expanded.ordering, GetParam());
 }
 
-TEST_P(ExpandedChainOrdering, StateFollowsThePermutation) {
-  const ExpandedChain expanded = build(100.0);
-  const LevelGrid& grid = expanded.grid;
-  std::vector<bool> seen(grid.state_count(), false);
-  for (std::size_t j1 = 0; j1 <= grid.available_levels(); ++j1) {
-    for (std::size_t j2 = 0; j2 <= grid.bound_levels(); ++j2) {
-      for (std::size_t i = 0; i < grid.workload_states(); ++i) {
-        const std::size_t state = expanded.state(i, j1, j2);
-        ASSERT_EQ(state, expanded.permutation[grid.index(i, j1, j2)]);
-        ASSERT_LT(state, grid.state_count());
-        ASSERT_FALSE(seen[state]);
-        seen[state] = true;
-      }
-    }
-  }
-}
-
 TEST_P(ExpandedChainOrdering, EmptyLayerIsAbsorbing) {
   const ExpandedChain expanded = build(100.0);
   const LevelGrid& grid = expanded.grid;

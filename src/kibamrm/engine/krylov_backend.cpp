@@ -409,7 +409,7 @@ std::size_t KrylovBackend::shallowest_passing_dim(std::size_t m, double beta,
   // dimension-d Arnoldi factorisation of the same vector, so a shallower
   // subspace's error estimate costs one small exponential and no matvec:
   // A v_{d+1} = sum_{i <= d+2} h_{i,d+1} v_i over an orthonormal basis,
-  // so ||A v_{d+1}|| is the norm of Hessenberg column d+1.
+  // so ||A v_{d+1}|| is the norm of Hessenberg column d+1 (hess_ column d).
   std::size_t dim = m;
   while (dim > m_floor_) {
     const std::size_t d = dim - std::min(dim - m_floor_, dim_step(dim));

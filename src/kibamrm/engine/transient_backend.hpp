@@ -151,10 +151,10 @@ struct BackendOptions {
   /// Krylov backend: adapt the Arnoldi subspace dimension between
   /// sub-steps within [4, krylov_dim] -- grow when trial steps get
   /// rejected, shrink when a shallower nested subspace would pass the
-  /// next step or the subspace closes early -- so easy chains stop paying the worst-case
-  /// m^2 n orthogonalisation and stiff chains stop re-stepping.  False
-  /// pins m = krylov_dim (the fixed-dimension A/B baseline).  Other
-  /// backends ignore it.
+  /// next step or the subspace closes early -- so easy chains stop
+  /// paying the worst-case m^2 n orthogonalisation and stiff chains stop
+  /// re-stepping.  False pins m = krylov_dim (the fixed-dimension A/B
+  /// baseline).  Other backends ignore it.
   bool krylov_adaptive_dim = true;
   /// Out-of-core backend: serialized-size target per streamed tile of the
   /// compacted transposed matrix (the "ooc" engine's working set is two

@@ -145,15 +145,14 @@ std::vector<std::vector<double>> KrylovBackend::solve(
   // this solve, like the controller step.
   current_m_ = m_cap_;
 
-  const GatherShardPlan shards =
-      plan_gather_shards(qt, pool_->thread_count());
+  shards_ = plan_gather_shards(qt, pool_->thread_count());
   const auto matvec = [&](const std::vector<double>& in,
                           std::vector<double>& out) {
-    if (shards.use_pool) {
-      pool_->parallel_for(shards.shard_count(),
+    if (shards_.use_pool) {
+      pool_->parallel_for(shards_.shard_count(),
                           [&](std::size_t shard, std::size_t /*lane*/) {
-                            qt.multiply_range(in, out, shards.ranges[shard],
-                                              shards.ranges[shard + 1]);
+                            qt.multiply_range(in, out, shards_.ranges[shard],
+                                              shards_.ranges[shard + 1]);
                           });
     } else {
       qt.multiply_range(in, out, 0, n);
@@ -328,11 +327,25 @@ void KrylovBackend::integrate(
       if (accepted) {
         // Tentatively build the step: EXPOKIT's corrected scheme spends
         // one more column than the plain projection -- F(m+1,1) pairs
-        // with v_{m+1}.
+        // with v_{m+1}.  Combined on the matvec's row shards: each element
+        // sums its columns in j order whatever the partition, so the
+        // result is bitwise that of a serial sweep.
         const std::size_t columns = arn.happy_breakdown ? k : m + 1;
-        linalg::fill(stepped_, 0.0);
-        for (std::size_t j = 0; j < columns; ++j) {
-          linalg::axpy(beta * f(j, 0), basis_[j], stepped_);
+        const auto combine = [&](std::size_t begin, std::size_t end) {
+          std::fill(stepped_.begin() + begin, stepped_.begin() + end, 0.0);
+          for (std::size_t j = 0; j < columns; ++j) {
+            linalg::kernels::axpy(beta * f(j, 0), basis_[j].data() + begin,
+                                  stepped_.data() + begin, end - begin);
+          }
+        };
+        if (shards_.use_pool) {
+          pool_->parallel_for(shards_.shard_count(),
+                              [&](std::size_t shard, std::size_t /*lane*/) {
+                                combine(shards_.ranges[shard],
+                                        shards_.ranges[shard + 1]);
+                              });
+        } else {
+          combine(0, stepped_.size());
         }
         // Mass handling: columns of Q^T sum to zero, so the true flow
         // preserves sum(w) exactly.  The Krylov step does not inherit

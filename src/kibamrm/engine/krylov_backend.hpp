@@ -101,6 +101,9 @@ class KrylovBackend final : public TransientBackend {
   std::vector<double> residual_;
   std::vector<double> stepped_;
   std::vector<double> full_point_;  // closure -> full-space emission buffer
+  // Row split of the current solve's Q^T, shared by the matvec and the
+  // accepted-step combine.
+  GatherShardPlan shards_;
   linalg::ArnoldiWorkspace arnoldi_ws_;
   // Converged controller sub-step carried across increments of one solve
   // (0 = derive the a-priori EXPOKIT guess); reset per solve().

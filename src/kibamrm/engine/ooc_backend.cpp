@@ -210,7 +210,7 @@ class TileStreamExecutor final : public markov::VectorStepExecutor {
   // tile_ready_[t] with release; a compute lane LOADS it with acquire
   // before touching the buffer, so the decoded slab happens-before every
   // shard that reads it.  tile_claim_ hands out disjoint shard indices
-  // (fetch_add, relaxed -- same argument as ThreadPool::next_);
+  // (fetch_add, relaxed -- same argument as ThreadPool's block cursors);
   // tile_done_ retires them with release so the IO lane's acquire spin
   // on it sees all shard writes before recycling the buffer for tile
   // t+2.  tile_stalled_ is a relaxed telemetry flag (its value never

@@ -95,8 +95,10 @@ struct GatherShardPlan {
 
 /// Splits `matrix` for a gather matvec over `lanes` pool lanes.  Unless
 /// pool_pays_off() the plan stays inline; otherwise rows are nnz-balanced
-/// into 4x-lane shards (the oversubscription lets the atomic claim loop
-/// absorb cost imbalance a static split cannot see).
+/// into 4x-lane contiguous shards.  The pool hands lane l the same home
+/// block of shards on every step, so its rows stay in that core's L2;
+/// the oversubscription gives lanes that finish early whole shards to
+/// steal, absorbing cost imbalance a static split cannot see.
 GatherShardPlan plan_gather_shards(const linalg::CsrMatrix& matrix,
                                    std::size_t lanes);
 

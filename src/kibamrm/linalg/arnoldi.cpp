@@ -35,7 +35,9 @@ class ShardedSweeps {
                 ? pool
                 : nullptr;
     const std::size_t lanes = pool_ ? pool_->thread_count() : 1;
-    // 4x oversubscription lets the pool's claim loop absorb lane jitter.
+    // 4x oversubscription: each lane keeps its home block of contiguous
+    // shards (and their basis rows in its L2) sweep after sweep, and lanes
+    // that finish early steal whole shards to absorb jitter.
     // Floor of one shard: a zero-dimensional problem (blocks_ == 0) still
     // runs its (empty) sweeps and exits through the happy-breakdown test,
     // like the pre-sharded code did.

@@ -1,5 +1,6 @@
-// Tests for the parallel uniformisation backend, the ThreadPool beneath it
-// and the batched multi-scenario solve layer.
+// Tests for the parallel uniformisation backend and the batched
+// multi-scenario solve layer (the ThreadPool beneath both has its own
+// suite, test_common_thread_pool).
 //
 // The two properties the CI sanitizer matrix leans on:
 //   1. "parallel" agrees with "uniformization" within 1e-10 on the paper's
@@ -9,13 +10,10 @@
 //      cannot change the arithmetic).
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <numeric>
-#include <stdexcept>
 #include <vector>
 
 #include "kibamrm/common/error.hpp"
-#include "kibamrm/common/thread_pool.hpp"
 #include "kibamrm/core/approx_solver.hpp"
 #include "kibamrm/core/expanded_ctmc.hpp"
 #include "kibamrm/engine/parallel_backend.hpp"
@@ -37,54 +35,6 @@ core::KibamRmModel fig8_kibam() {
                                   .on_current = 0.96}),
       {.capacity = 7200.0, .available_fraction = 0.625,
        .flow_constant = 4.5e-5});
-}
-
-TEST(ThreadPool, RunsEveryIndexExactlyOnce) {
-  common::ThreadPool pool(4);
-  EXPECT_EQ(pool.thread_count(), 4u);
-  std::vector<std::atomic<int>> hits(257);
-  pool.parallel_for(hits.size(), [&](std::size_t index, std::size_t lane) {
-    ASSERT_LT(lane, pool.thread_count());
-    hits[index].fetch_add(1);
-  });
-  for (const auto& hit : hits) EXPECT_EQ(hit.load(), 1);
-}
-
-TEST(ThreadPool, ReusableAcrossManyDispatches) {
-  // The spmv loop dispatches tens of thousands of tiny jobs; the pool must
-  // neither deadlock nor leak across them.
-  common::ThreadPool pool(3);
-  std::atomic<std::size_t> total{0};
-  for (int round = 0; round < 500; ++round) {
-    pool.parallel_for(7, [&](std::size_t, std::size_t) { ++total; });
-  }
-  EXPECT_EQ(total.load(), 500u * 7u);
-}
-
-TEST(ThreadPool, AutoDetectsAtLeastOneLane) {
-  common::ThreadPool pool(0);
-  EXPECT_GE(pool.thread_count(), 1u);
-  std::atomic<int> runs{0};
-  pool.parallel_for(5, [&](std::size_t, std::size_t) { ++runs; });
-  EXPECT_EQ(runs.load(), 5);
-}
-
-TEST(ThreadPool, PropagatesTaskExceptions) {
-  for (const std::size_t lanes : {1u, 3u}) {
-    common::ThreadPool pool(lanes);
-    EXPECT_THROW(
-        pool.parallel_for(16,
-                          [&](std::size_t index, std::size_t) {
-                            if (index == 11) {
-                              throw std::runtime_error("boom");
-                            }
-                          }),
-        std::runtime_error);
-    // And the pool still works afterwards.
-    std::atomic<int> runs{0};
-    pool.parallel_for(4, [&](std::size_t, std::size_t) { ++runs; });
-    EXPECT_EQ(runs.load(), 4);
-  }
 }
 
 TEST(ParallelBackend, RegisteredByName) {

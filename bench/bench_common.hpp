@@ -302,7 +302,9 @@ inline BenchRecord& add_stats_record(BenchReport& report,
       .field("shard_nnz_imbalance", stats.shard_nnz_imbalance)
       .field("spmv_throughput", spmv_throughput(stats, wall_seconds))
       .field("peak_rss_bytes", common::peak_rss_bytes())
-      .field("wall_seconds", wall_seconds);
+      .field("wall_seconds", wall_seconds)
+      .field("rows_iterated", stats.rows_iterated)
+      .field("dropped_mass", stats.dropped_mass);
 }
 
 inline BenchRecord& add_engine_record(BenchReport& report,

@@ -5,39 +5,166 @@
 
 namespace kibamrm::engine {
 
+namespace {
+
+// Chunks per shard of an inline step: the drop test then reads rows the
+// kernel wrote a few dozen kilobytes earlier, still in L1/L2.
+constexpr std::size_t kInlineShardChunks = 16;
+
+}  // namespace
+
 void GatherExecutor::bind(std::shared_ptr<const CachedGatherPlan> plan) {
+  if (plan == plan_) return;
   plan_ = std::move(plan);
-  shards_ = plan_gather_shards(plan_->row_entry_counts, plan_->nonzeros, 0,
-                               plan_->rows(),
-                               pool_ ? pool_->thread_count() : 1);
-  // Snap shard boundaries onto uniform-segment edges: a boundary inside a
-  // segment costs partial SIMD groups at both shard edges.  Per-row
-  // arithmetic is partition-independent, so this only moves work, never
-  // changes a bit.
-  if (plan_->plan && shards_.use_pool) {
-    plan_->plan->align_ranges_to_segments(shards_.ranges);
+  constexpr std::size_t kRows = markov::kDropChunkRows;
+  const std::size_t rows = plan_->rows();
+  const std::size_t chunks = markov::drop_chunk_count(rows);
+  reach_lo_.assign(chunks, chunks);
+  reach_hi_.assign(chunks, 0);
+  work_prefix_.assign(chunks + 1, 0);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const std::size_t c = r / kRows;
+    const std::uint32_t entries = plan_->row_entry_counts[r];
+    work_prefix_[c + 1] += entries + 1;
+    if (entries > 0) {
+      reach_lo_[c] = std::min<std::size_t>(reach_lo_[c],
+                                           plan_->row_col_lo[r] / kRows);
+      reach_hi_[c] = std::max<std::size_t>(reach_hi_[c],
+                                           plan_->row_col_hi[r] / kRows);
+    }
   }
-  shard_deltas_.assign(shards_.shard_count(), 0.0);
+  for (std::size_t c = 0; c < chunks; ++c) {
+    work_prefix_[c + 1] += work_prefix_[c];
+  }
+  live_.assign(chunks, 0);
+  shard_deltas_.assign(4 * (pool_ ? pool_->thread_count() : 1), 0.0);
+}
+
+std::size_t GatherExecutor::chunk_row(std::size_t chunk) const {
+  return std::min(chunk * markov::kDropChunkRows, plan_->rows());
+}
+
+void GatherExecutor::load(const std::vector<double>& current, double weight0,
+                          double drop_threshold) {
+  VectorStepExecutor::load(current, weight0, drop_threshold);
+  // next_ still holds whatever the previous increment left in it.
+  power_dirty_ = {0, live_.size()};
+  next_dirty_ = {0, live_.size()};
+  // The window opens on every chunk holding a non-zero entry (or a NaN):
+  // the drop rule applies only after steps.
+  const auto nonzero = [](double v) { return v != 0.0; };
+  const auto first = std::find_if(power_.begin(), power_.end(), nonzero);
+  if (first == power_.end()) {
+    hull_ = {};
+    return;
+  }
+  const auto last = std::find_if(power_.rbegin(), power_.rend(), nonzero);
+  hull_ = {static_cast<std::size_t>(first - power_.begin()) /
+               markov::kDropChunkRows,
+           static_cast<std::size_t>(power_.rend() - last - 1) /
+                   markov::kDropChunkRows +
+               1};
+}
+
+GatherExecutor::ChunkSpan GatherExecutor::step_span() const {
+  if (hull_.begin >= hull_.end) return {};
+  ChunkSpan span = hull_;
+  for (std::size_t c = 0; c < reach_lo_.size(); ++c) {
+    if (reach_lo_[c] < hull_.end && reach_hi_[c] >= hull_.begin) {
+      span.begin = std::min(span.begin, c);
+      span.end = std::max(span.end, c + 1);
+    }
+  }
+  return span;
+}
+
+bool GatherExecutor::split(ChunkSpan span) {
+  bounds_.assign(1, span.begin);
+  const std::uint64_t base = work_prefix_[span.begin];
+  const std::uint64_t work = work_prefix_[span.end] - base;
+  const std::size_t rows = chunk_row(span.end) - chunk_row(span.begin);
+  const std::size_t lanes = pool_ ? pool_->thread_count() : 1;
+  const bool use_pool = pool_pays_off(lanes, work - rows, rows);
+  if (use_pool) {
+    // Same oversubscription as plan_gather_shards: 4 shards per lane.
+    const std::size_t parts = shard_deltas_.size();
+    for (std::size_t k = 1; k < parts; ++k) {
+      const std::uint64_t target = base + work * k / parts;
+      const std::size_t edge = static_cast<std::size_t>(
+          std::lower_bound(work_prefix_.begin() +
+                               static_cast<std::ptrdiff_t>(bounds_.back() + 1),
+                           work_prefix_.begin() +
+                               static_cast<std::ptrdiff_t>(span.end),
+                           target) -
+          work_prefix_.begin());
+      if (edge < span.end) bounds_.push_back(edge);
+    }
+  } else {
+    for (std::size_t c = span.begin + kInlineShardChunks; c < span.end;
+         c += kInlineShardChunks) {
+      bounds_.push_back(c);
+    }
+  }
+  bounds_.push_back(span.end);
+  return use_pool;
+}
+
+void GatherExecutor::clear_outside(ChunkSpan span) {
+  const auto clear = [&](std::size_t c0, std::size_t c1) {
+    if (c0 < c1) {
+      std::fill(next_.begin() + static_cast<std::ptrdiff_t>(chunk_row(c0)),
+                next_.begin() + static_cast<std::ptrdiff_t>(chunk_row(c1)),
+                0.0);
+    }
+  };
+  if (span.begin >= span.end) {
+    clear(next_dirty_.begin, next_dirty_.end);
+    return;
+  }
+  clear(next_dirty_.begin, std::min(next_dirty_.end, span.begin));
+  clear(std::max(next_dirty_.begin, span.end), next_dirty_.end);
 }
 
 double GatherExecutor::step(double weight, bool /*want_delta*/) {
+  const ChunkSpan span = step_span();
+  clear_outside(span);
   double delta = 0.0;
-  if (shards_.use_pool) {
-    const std::vector<std::size_t>& ranges = shards_.ranges;
-    pool_->parallel_for(shards_.shard_count(),
-                        [&](std::size_t shard, std::size_t /*lane*/) {
-                          shard_deltas_[shard] = plan_->multiply_fused_range(
-                              power_, next_, accum_, weight, ranges[shard],
-                              ranges[shard + 1]);
-                        });
-    for (const double shard_delta : shard_deltas_) {
-      delta = std::max(delta, shard_delta);
+  hull_ = {};
+  if (span.begin < span.end) {
+    const bool pooled = split(span);
+    const std::size_t shards = bounds_.size() - 1;
+    const auto run_shard = [&](std::size_t shard) {
+      const std::size_t c0 = bounds_[shard];
+      const std::size_t c1 = bounds_[shard + 1];
+      const double shard_delta = plan_->multiply_fused_range(
+          power_, next_, accum_, weight, chunk_row(c0), chunk_row(c1));
+      markov::drop_cold_chunks(next_.data(), next_.size(), c0, c1,
+                               drop_threshold_, chunk_dropped_.data(),
+                               live_.data());
+      return shard_delta;
+    };
+    if (pooled) {
+      pool_->parallel_for(shards, [&](std::size_t shard, std::size_t) {
+        shard_deltas_[shard] = run_shard(shard);
+      });
+      for (std::size_t shard = 0; shard < shards; ++shard) {
+        delta = std::max(delta, shard_deltas_[shard]);
+      }
+    } else {
+      for (std::size_t shard = 0; shard < shards; ++shard) {
+        delta = std::max(delta, run_shard(shard));
+      }
     }
-  } else {
-    delta = plan_->multiply_fused_range(power_, next_, accum_, weight, 0,
-                                        plan_->rows());
+    rows_iterated_ += chunk_row(span.end) - chunk_row(span.begin);
+    for (std::size_t c = span.begin; c < span.end; ++c) {
+      if (live_[c] == 0) continue;
+      if (hull_.begin >= hull_.end) hull_.begin = c;
+      hull_.end = c + 1;
+    }
   }
+  next_dirty_ = span;
   power_.swap(next_);
+  std::swap(power_dirty_, next_dirty_);
   return delta;
 }
 

@@ -1,16 +1,33 @@
 // The in-memory step executor of the uniformisation driver: one fused
 // gather step (spmv + Poisson-weighted accumulate + sup-norm delta) over a
-// CachedGatherPlan, inline or sharded across a ThreadPool.
+// CachedGatherPlan, inline or sharded across a ThreadPool, restricted to
+// the rows that can carry probability.
+//
+// Mass window.  The loop space is cut into the driver's fixed chunks
+// (markov::kDropChunkRows).  After every step each chunk whose entries
+// all fall below the increment's threshold is zeroed (the drop rule of
+// markov::drop_cold_chunks), so the power vector is exactly zero outside
+// the hull of its live chunks.  A row of the compacted transpose reads
+// only the columns in [row_col_lo, row_col_hi], so the next power vector
+// can be non-zero only on chunks whose column reach meets that hull:
+// each step iterates just that span, and rows outside it stay exactly
+// zero in both loop buffers -- the values a full sweep would compute
+// there.
 //
 // Each output entry of the gather is one row of the compacted transpose of
 // P, so disjoint row ranges write disjoint outputs and need no
-// synchronisation.  Ranges are nnz-balanced (plan_gather_shards) and
-// snapped to uniform-segment edges; because every row sums in its fixed
-// canonical order and per-shard deltas reduce by max, the step is bitwise
-// identical for every lane count and shard partition.  Below the
-// pool-engagement threshold, or without a pool, the step runs inline.
+// synchronisation.  Every step re-splits its span into nnz-balanced
+// shards cut at chunk edges, so each chunk is stepped and then tested for
+// the drop by one shard while its rows are still in that core's cache.
+// Every row sums in its fixed canonical order, the drop reads one fixed
+// chunk at a time and per-shard deltas reduce by max, so the step is
+// bitwise identical for every lane count and shard partition -- and to
+// the full-sweep executors of the ooc and sharded engines.  Spans whose
+// work lies below the pool-engagement threshold, or steps without a pool,
+// run inline.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -31,13 +48,44 @@ class GatherExecutor final : public markov::VectorStepExecutor {
   /// outgrows it.
   void bind(std::shared_ptr<const CachedGatherPlan> plan);
 
+  void load(const std::vector<double>& current, double weight0,
+            double drop_threshold) override;
   double step(double weight, bool want_delta) override;
 
  private:
+  /// Chunks [begin, end); empty when begin == end.
+  struct ChunkSpan {
+    std::size_t begin = 0;
+    std::size_t end = 0;
+  };
+
+  std::size_t chunk_row(std::size_t chunk) const;
+  /// The chunks this step must iterate: every chunk whose rows read a
+  /// column inside the live hull, plus the hull itself.
+  ChunkSpan step_span() const;
+  /// Cuts `span` into shards at chunk edges (bounds_), nnz-balanced, and
+  /// returns whether the pool runs them.
+  bool split(ChunkSpan span);
+  /// Zeroes the rows of next_ inside next_dirty_ but outside `span`.
+  void clear_outside(ChunkSpan span);
+
   common::ThreadPool* pool_;
   std::shared_ptr<const CachedGatherPlan> plan_;
-  GatherShardPlan shards_;
-  // Per-shard sup-norm deltas of one step, reduced by max.
+  // Per chunk: the first and last chunk its rows read (reach_lo_ >
+  // reach_hi_ for a chunk without stored entries), and the prefix sum of
+  // stored entries plus rows over the chunks before it (size chunks + 1),
+  // the shard balance weight of plan_gather_shards.
+  std::vector<std::size_t> reach_lo_;
+  std::vector<std::size_t> reach_hi_;
+  std::vector<std::uint64_t> work_prefix_;
+  // Whether each chunk of the latest step's output survived the drop.
+  std::vector<std::uint8_t> live_;
+  // Live chunks of power_, and where each loop buffer may be non-zero.
+  ChunkSpan hull_;
+  ChunkSpan power_dirty_;
+  ChunkSpan next_dirty_;
+  // This step's shard boundaries (chunk indices) and sup-norm deltas.
+  std::vector<std::size_t> bounds_;
   std::vector<double> shard_deltas_;
 };
 

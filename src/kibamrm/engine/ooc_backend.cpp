@@ -15,8 +15,9 @@ namespace {
 constexpr std::size_t kNoTile = std::numeric_limits<std::size_t>::max();
 
 /// One streamed DTMC step per step(): sweep every tile once, out = power *
-/// P in compact space with the fused Poisson accumulation, and return the
-/// sup-norm delta (max over shards -- partition- and lane-independent).
+/// P in compact space with the fused Poisson accumulation, apply the mass
+/// window's drop rule, and return the sup-norm delta (max over shards --
+/// partition- and lane-independent).  Every row is streamed on every step.
 ///
 /// Pool path: ONE parallel_for for the whole sweep.  The first role is the
 /// IO driver -- it streams tile t into buffer t % 2 as soon as the buffer's
@@ -46,6 +47,12 @@ class TileStreamExecutor final : public markov::VectorStepExecutor {
   double step(double weight, bool /*want_delta*/) override {
     const double delta =
         use_pool_ ? pooled_sweep(weight) : inline_sweep(weight);
+    // The mass window's drop rule over the whole swept vector: it reads
+    // one fixed chunk at a time, so tile cuts cannot change what drops.
+    markov::drop_cold_chunks(next_.data(), next_.size(), 0,
+                             chunk_dropped_.size(), drop_threshold_,
+                             chunk_dropped_.data(), nullptr);
+    rows_iterated_ += next_.size();
     power_.swap(next_);
     return delta;
   }

@@ -1,5 +1,6 @@
 #include "kibamrm/engine/plan_cache.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "kibamrm/common/spill_io.hpp"
@@ -10,6 +11,7 @@ std::shared_ptr<const CachedGatherPlan> build_cached_gather_plan(
     const linalg::CsrMatrix& generator, double rate,
     std::span<const std::uint32_t> seeds) {
   auto cached = std::make_shared<CachedGatherPlan>();
+  cached->state_count = generator.rows();
   linalg::CsrMatrix p = generator.uniformized(rate);
   cached->reachable = p.reachable_rows(seeds);
   linalg::CsrMatrix pt = p.transposed_submatrix(cached->reachable);
@@ -51,6 +53,17 @@ void CachedGatherPlan::describe(markov::TransientStats& stats) const {
   stats.longest_diagonal_run = structure.longest_diagonal_run;
 }
 
+bool CachedGatherPlan::serves(const linalg::CsrMatrix& generator,
+                              std::span<const std::uint32_t> seeds) const {
+  if (state_count != generator.rows()) return false;
+  for (const std::uint32_t seed : seeds) {
+    if (!std::binary_search(reachable.begin(), reachable.end(), seed)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 std::uint64_t gather_plan_key(const linalg::CsrMatrix& generator, double rate,
                               std::span<const std::uint32_t> seeds) {
   const std::span<const std::uint32_t> row_ptr = generator.row_pointers();
@@ -73,8 +86,7 @@ std::shared_ptr<const CachedGatherPlan> GatherPlanCache::obtain(
   {
     common::MutexLock lock(mutex_);
     const auto it = entries_.find(key);
-    if (it != entries_.end() &&
-        it->second->reachable.size() <= generator.rows()) {
+    if (it != entries_.end() && it->second->serves(generator, seeds)) {
       ++reused_;
       return it->second;
     }
@@ -85,7 +97,7 @@ std::shared_ptr<const CachedGatherPlan> GatherPlanCache::obtain(
       build_cached_gather_plan(generator, rate, seeds);
   common::MutexLock lock(mutex_);
   std::shared_ptr<const CachedGatherPlan>& slot = entries_[key];
-  if (slot && slot->reachable.size() <= generator.rows()) {
+  if (slot && slot->serves(generator, seeds)) {
     // A racing lane inserted first; adopt its copy (byte-identical --
     // the build is deterministic).
     ++reused_;

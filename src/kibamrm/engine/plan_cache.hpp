@@ -36,6 +36,8 @@ namespace kibamrm::engine {
 /// The immutable per-chain setup of a fused uniformisation solve.  Built
 /// once (build_cached_gather_plan), then only read.
 struct CachedGatherPlan {
+  /// States of the generator the plan was built from.
+  std::size_t state_count = 0;
   /// Sorted reachable closure of the initial support (full-chain state
   /// ids); the loop dimension is reachable.size().
   std::vector<std::uint32_t> reachable;
@@ -71,6 +73,12 @@ struct CachedGatherPlan {
   /// Writes the iterated matrix's size and structure (active_nonzeros and
   /// the structure counters) into a solve's stats.
   void describe(markov::TransientStats& stats) const;
+
+  /// The cheap invariants a cache lookup checks before trusting a key
+  /// match: `generator` has the plan's state count and every seed lies in
+  /// the closure.
+  bool serves(const linalg::CsrMatrix& generator,
+              std::span<const std::uint32_t> seeds) const;
 };
 
 /// Uniformises `generator` at `rate`, compacts to the reachable closure
@@ -84,9 +92,9 @@ std::shared_ptr<const CachedGatherPlan> build_cached_gather_plan(
 /// Content hash the cache keys on: generator structure arrays and values
 /// (exact bytes), the uniformisation rate bits and the seed set.  Chains
 /// whose hashes collide would share a plan wrongly; at 64 bits over
-/// full-content hashing that is vanishingly unlikely, and lookup()
-/// additionally rejects entries whose cheap invariants (state count,
-/// closure seed count) disagree.
+/// full-content hashing that is vanishingly unlikely, and
+/// GatherPlanCache::obtain additionally rebuilds when an entry fails
+/// CachedGatherPlan::serves (state count, seeds inside the closure).
 std::uint64_t gather_plan_key(const linalg::CsrMatrix& generator, double rate,
                               std::span<const std::uint32_t> seeds);
 

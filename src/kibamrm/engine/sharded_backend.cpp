@@ -39,7 +39,8 @@ enum FrameType : std::uint32_t {
   kFrameHalo = 1,     // doubles: one halo span of the power vector
   kFrameDelta = 2,    // double: band sup-norm delta of one product
   kFrameVerdict = 3,  // VerdictPayload: steady-state decision for the step
-  kFrameSlice = 4,    // doubles: the worker's band of pi(t_k)
+  kFrameSlice = 4,    // doubles: the worker's band of pi(t_k), then the
+                      // mass its band's chunks dropped over the increment
   kFrameScale = 5,    // double: renormalisation factor 1/sum
   kFrameStats = 6,    // StatsPayload: end-of-solve telemetry
   kFrameError = 7,    // bytes: worker exception message (best effort)
@@ -78,6 +79,20 @@ struct WorkerProc {
   bool reaped = false;
   int status = 0;
 };
+
+/// The mass-window chunks [first, first + count) a band owns; bands are
+/// cut at chunk edges (ShardPlan::build's row_align), so the drop rule
+/// always sees whole chunks.
+struct BandChunks {
+  std::size_t first = 0;
+  std::size_t count = 0;
+};
+
+BandChunks band_chunks(const linalg::ShardBand& band) {
+  if (band.rows() == 0) return {};
+  const std::size_t first = band.row_begin / markov::kDropChunkRows;
+  return {first, markov::drop_chunk_count(band.row_end) - first};
+}
 
 /// True while the worker process exists; sticky once waitpid() has
 /// reaped it (a second waitpid on a reaped pid reports ECHILD, which
@@ -175,6 +190,7 @@ void run_worker(SharedSetup& shared, std::size_t shard) {
   const std::size_t n_rows = cached.rows();
   const std::size_t r0 = band.row_begin;
   const std::size_t band_rows = band.rows();
+  const BandChunks chunks = band_chunks(band);
 
   if (const std::optional<FaultSpec> fault = parse_fault_env();
       fault && fault->shard == shard && n_rows >= fault->min_states) {
@@ -227,6 +243,9 @@ void run_worker(SharedSetup& shared, std::size_t shard) {
   std::vector<double> power(n_rows, 0.0);
   std::vector<double> next(n_rows, 0.0);
   std::vector<double> accum(n_rows, 0.0);
+  std::vector<double> chunk_dropped(markov::drop_chunk_count(n_rows), 0.0);
+  // The slice frame: the band of pi(t_k), then its chunks' dropped mass.
+  std::vector<double> slice(band_rows + chunks.count, 0.0);
 
   markov::UniformizationPlan windows;
   common::ShmFrame frame;
@@ -268,7 +287,10 @@ void run_worker(SharedSetup& shared, std::size_t shard) {
       const std::shared_ptr<const markov::PoissonWindow> window_ptr =
           windows.window(lambda, options.epsilon);
       const markov::PoissonWindow& window = *window_ptr;
+      const double threshold =
+          markov::drop_threshold(options.epsilon, window.right, n_rows);
       linalg::fill(accum, 0.0);
+      linalg::fill(chunk_dropped, 0.0);
       std::copy(current.begin(), current.end(), power.begin());
       // Refresh the footprint before the first product: after a
       // renormalised increment only the band of `current` is live here,
@@ -296,6 +318,10 @@ void run_worker(SharedSetup& shared, std::size_t shard) {
           delta = fused_range(r0, band.row_end, weight);
         }
         power.swap(next);
+        // Drop before the halos leave, so peers read post-drop rows.
+        markov::drop_cold_chunks(power.data(), n_rows, chunks.first,
+                                 chunks.first + chunks.count, threshold,
+                                 chunk_dropped.data(), nullptr);
         if (n < window.right) {
           // Sends strictly precede receives and every ring holds two
           // full frames, so the per-step neighbour exchange cannot
@@ -321,7 +347,12 @@ void run_worker(SharedSetup& shared, std::size_t shard) {
         }
       }
       current.swap(accum);
-      up.send(kFrameSlice, current.data() + r0, band_rows * sizeof(double));
+      std::copy_n(current.begin() + static_cast<std::ptrdiff_t>(r0),
+                  band_rows, slice.begin());
+      std::copy_n(
+          chunk_dropped.begin() + static_cast<std::ptrdiff_t>(chunks.first),
+          chunks.count, slice.begin() + static_cast<std::ptrdiff_t>(band_rows));
+      up.send(kFrameSlice, slice.data(), slice.size() * sizeof(double));
       if (options.renormalize) {
         // The coordinator sums the assembled vector (serial Kahan, same
         // order as normalize_probability) and broadcasts one factor;
@@ -368,13 +399,19 @@ void run_worker(SharedSetup& shared, std::size_t shard) {
 class Coordinator final : public markov::StepExecutor {
  public:
   Coordinator(SharedSetup& shared, std::vector<WorkerProc>& workers)
-      : shared_(shared), workers_(workers) {}
+      : shared_(shared),
+        workers_(workers),
+        chunk_dropped_(markov::drop_chunk_count(shared.cached->rows()), 0.0) {}
 
-  // Workers reload their own bands of pi(t_k) and add the n = 0 term.
-  void load(const std::vector<double>& /*current*/,
-            double /*weight0*/) override {}
+  // Workers reload their own bands of pi(t_k), add the n = 0 term and
+  // derive the same drop threshold from their own windows.
+  void load(const std::vector<double>& /*current*/, double /*weight0*/,
+            double /*drop_threshold*/) override {
+    rows_iterated_ = 0;
+  }
 
   double step(double /*weight*/, bool want_delta) override {
+    rows_iterated_ += shared_.cached->rows();
     flush_verdict();
     if (!want_delta) return 0.0;
     double delta = 0.0;
@@ -398,10 +435,22 @@ class Coordinator final : public markov::StepExecutor {
     flush_verdict();
     for (std::size_t s = 0; s < workers_.size(); ++s) {
       const linalg::ShardBand& band = shared_.shard_plan->bands()[s];
-      recv_from(s, kFrameSlice, band.rows() * sizeof(double));
+      const BandChunks chunks = band_chunks(band);
+      recv_from(s, kFrameSlice, (band.rows() + chunks.count) * sizeof(double));
+      const std::size_t band_bytes = band.rows() * sizeof(double);
       std::memcpy(current.data() + band.row_begin, frame_.payload.data(),
-                  frame_.payload.size());
+                  band_bytes);
+      std::memcpy(chunk_dropped_.data() + chunks.first,
+                  frame_.payload.data() + band_bytes,
+                  chunks.count * sizeof(double));
     }
+  }
+
+  IncrementWork increment_work() const override {
+    IncrementWork work;
+    work.rows_iterated = rows_iterated_;
+    for (const double chunk : chunk_dropped_) work.dropped_mass += chunk;
+    return work;
   }
 
   // Scaling is elementwise, so band-local application on the workers is
@@ -492,6 +541,10 @@ class Coordinator final : public markov::StepExecutor {
   std::vector<WorkerProc>& workers_;
   common::ShmFrame frame_;
   bool verdict_pending_ = false;
+  // Every chunk's dropped mass over the increment, assembled from the
+  // slice frames; summed in chunk order like the in-process executors.
+  std::vector<double> chunk_dropped_;
+  std::uint64_t rows_iterated_ = 0;
 };
 
 }  // namespace
@@ -522,7 +575,7 @@ std::vector<std::vector<double>> ShardedBackend::solve(
 
   const linalg::ShardPlan shard_plan = linalg::ShardPlan::build(
       cached->row_entry_counts, cached->row_col_lo, cached->row_col_hi,
-      shards_);
+      shards_, markov::kDropChunkRows);
 
   stats_ = BackendStats{};
   cached->describe(stats_);
@@ -552,9 +605,11 @@ std::vector<std::vector<double>> ShardedBackend::solve(
   for (const linalg::ShardBand& band : shard_plan.bands()) {
     max_band_rows = std::max(max_band_rows, band.rows());
   }
-  const std::size_t up_capacity =
-      std::max<std::size_t>(4096, common::kShmFrameHeaderBytes +
-                                      max_band_rows * sizeof(double) + 64);
+  const std::size_t max_slice_doubles =
+      max_band_rows + markov::drop_chunk_count(max_band_rows);
+  const std::size_t up_capacity = std::max<std::size_t>(
+      4096, common::kShmFrameHeaderBytes +
+                max_slice_doubles * sizeof(double) + 64);
   shared.to_coord.reserve(shards_);
   shared.from_coord.reserve(shards_);
   for (std::size_t s = 0; s < shards_; ++s) {

@@ -26,7 +26,11 @@
 //
 // Determinism.  Every per-row dot product runs the same fused kernel over
 // the same operands in the same order as the parallel backend; band and
-// lane boundaries only move rows between executors.  The steady-state
+// lane boundaries only move rows between executors.  Bands are cut at the
+// mass window's chunk edges, so each worker applies the drop rule
+// (markov::drop_cold_chunks) to whole chunks of its band after every
+// step, before its halos leave, and returns its chunks' dropped mass with
+// its slice; the coordinator sums them in chunk order.  The steady-state
 // decision input (max of per-band deltas) and the renormalisation total
 // (serial Kahan sum over the assembled vector, computed on the coordinator
 // only) are reduced exactly as the single-process solver reduces them, so

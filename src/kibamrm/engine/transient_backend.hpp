@@ -19,10 +19,12 @@
 //                     chains below a configurable state threshold
 //   "parallel"        incremental uniformisation with Fox-Glynn windows
 //                     (markov::UniformizationDriver) over the compacted
-//                     reachable closure, its fused gather step sharded
-//                     across a ThreadPool (nnz-balanced row ranges) --
-//                     bitwise deterministic across thread counts; the
-//                     multi-core production path
+//                     reachable closure, its fused gather step restricted
+//                     to the mass window (the chunks that carry
+//                     probability) and sharded across a ThreadPool
+//                     (nnz-balanced row ranges) -- bitwise deterministic
+//                     across thread counts; the multi-core production
+//                     path
 //   "krylov"          Arnoldi projection of exp(Q^T t) v onto a small
 //                     Krylov subspace with EXPOKIT-style adaptive
 //                     sub-step splitting -- the stiff-chain path: its
@@ -33,13 +35,17 @@
 //                     compacted transposed matrix is encoded band by band
 //                     into a tiled spill file at solve start and streamed
 //                     back per DTMC step through a double-buffered
-//                     prefetch pipeline -- bitwise identical curves to
+//                     prefetch pipeline; it sweeps every row and applies
+//                     the mass window's drop rule after each sweep --
+//                     bitwise identical curves to
 //                     "parallel" at every tile size and thread count, with
 //                     a working set of two tiles plus O(states) vectors
 //   "sharded"         the same driver with its step split across processes:
 //                     a coordinator forks one worker per shard, each owning
 //                     a contiguous level band of the compacted transpose
-//                     (linalg::ShardPlan); workers run the fused gather
+//                     cut at mass-window chunk edges (linalg::ShardPlan)
+//                     and applying the drop rule to it; workers run the
+//                     fused gather
 //                     kernels on their band and exchange only the halo
 //                     rows per DTMC step over shared-memory rings
 //                     (common/shm_channel) -- bitwise identical curves
@@ -69,7 +75,8 @@ class GatherPlanCache;  // engine/plan_cache.hpp
 
 /// Stored entries plus rows below which one gather step costs less than
 /// waking a thread pool; every pool-sharded step (plan_gather_shards, the
-/// ooc tile sweep) engages the pool only at or above it.
+/// in-memory step's mass-window span, the ooc tile sweep) engages the pool
+/// only at or above it.
 inline constexpr std::uint64_t kPoolEngageWork = 16384;
 
 /// The pool-engagement policy: more than one lane and at least
@@ -79,9 +86,11 @@ inline bool pool_pays_off(std::size_t lanes, std::uint64_t nonzeros,
   return lanes > 1 && nonzeros + rows >= kPoolEngageWork;
 }
 
-/// How a pool-sharded gather matvec splits its rows; shared by the
-/// uniformisation and krylov engines so the engagement threshold and the
-/// oversubscription factor stay tuned in exactly one place.
+/// How a pool-sharded gather matvec splits its rows; shared by the krylov
+/// engine and the sharded engine's workers so the engagement threshold and
+/// the oversubscription factor stay tuned in exactly one place.  The
+/// in-memory uniformisation step applies the same policy per step to its
+/// mass-window span, cut at chunk edges (engine/gather_executor.hpp).
 struct GatherShardPlan {
   /// False when one lane (or a matrix too small to amortise waking the
   /// pool) makes the inline loop the faster path.

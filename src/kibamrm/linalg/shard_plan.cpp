@@ -76,14 +76,26 @@ std::vector<std::size_t> balanced_count_ranges(
 ShardPlan ShardPlan::build(std::span<const std::uint32_t> counts,
                            std::span<const std::uint32_t> col_lo,
                            std::span<const std::uint32_t> col_hi,
-                           std::size_t shards) {
+                           std::size_t shards, std::size_t row_align) {
   KIBAMRM_REQUIRE(shards > 0, "shard plan: shard count must be positive");
+  KIBAMRM_REQUIRE(row_align > 0, "shard plan: row alignment must be positive");
   KIBAMRM_REQUIRE(
       col_lo.size() == counts.size() && col_hi.size() == counts.size(),
       "shard plan: footprint arrays must match the row count");
   const std::size_t n = counts.size();
-  const std::vector<std::size_t> bounds =
+  std::vector<std::size_t> bounds =
       balanced_count_ranges(counts, 0, n, shards);
+  if (row_align > 1) {
+    for (std::size_t i = 1; i + 1 < bounds.size(); ++i) {
+      const std::size_t down = bounds[i] / row_align * row_align;
+      const std::size_t up = down + row_align;
+      bounds[i] = std::min(n, bounds[i] - down < up - bounds[i] ? down : up);
+    }
+    // Snapped edges may collapse onto each other or onto the ends; the
+    // missing bands come back as trailing empty ones below.
+    bounds.erase(std::unique(bounds.begin(), bounds.end()), bounds.end());
+    if (bounds.size() < 2) bounds.push_back(n);
+  }
 
   ShardPlan plan;
   plan.bands_.reserve(shards);

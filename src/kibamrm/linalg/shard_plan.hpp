@@ -97,12 +97,15 @@ class ShardPlan {
   /// Partitions `rows` rows into exactly `shards` bands balanced by
   /// entry-scaled weight and derives halo spans from the per-row column
   /// footprints [col_lo[r], col_hi[r]] (inclusive; ignored for rows with
-  /// counts[r] == 0).  Chains with fewer rows than shards get trailing
-  /// empty bands, so N workers always fork.
+  /// counts[r] == 0).  With `row_align` > 1 every interior band edge is
+  /// moved to the nearest multiple of it (the sharded engine cuts at the
+  /// mass window's chunk edges, so each chunk has one owner).  Chains
+  /// with fewer rows -- or aligned cuts -- than shards get trailing empty
+  /// bands, so N workers always fork.
   static ShardPlan build(std::span<const std::uint32_t> counts,
                          std::span<const std::uint32_t> col_lo,
                          std::span<const std::uint32_t> col_hi,
-                         std::size_t shards);
+                         std::size_t shards, std::size_t row_align = 1);
 
   /// Convenience overload deriving counts and footprints from a
   /// materialised (transposed) matrix.

@@ -1,6 +1,7 @@
 #include "kibamrm/markov/uniformization.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "kibamrm/common/error.hpp"
 #include "kibamrm/engine/gather_executor.hpp"
@@ -9,12 +10,73 @@
 
 namespace kibamrm::markov {
 
+double drop_threshold(double epsilon, std::uint64_t window_right,
+                      std::size_t rows) {
+  if (window_right == 0 || rows == 0) return 0.0;
+  return epsilon / (100.0 * static_cast<double>(window_right) *
+                    static_cast<double>(rows));
+}
+
+void drop_cold_chunks(double* v, std::size_t rows, std::size_t chunk_begin,
+                      std::size_t chunk_end, double threshold,
+                      double* dropped, std::uint8_t* live) {
+  for (std::size_t c = chunk_begin; c < chunk_end; ++c) {
+    double* chunk = v + c * kDropChunkRows;
+    const std::size_t count =
+        std::min(kDropChunkRows, rows - c * kDropChunkRows);
+    // Branch-free flags over fixed blocks, so the scan vectorises (a
+    // dependent scalar max costs a large share of the window's gain), and
+    // an exit after the first block that proves the chunk live -- most
+    // stepped chunks hold mass, so most scans stop after one block.
+    // `hot` is set by an entry at or above the threshold and by a NaN,
+    // whose comparison is false, so a chunk holding a NaN is never
+    // dropped.
+    constexpr std::size_t kScanBlock = 32;
+    unsigned hot = 0;
+    unsigned nonzero = 0;
+    const auto scan = [&](std::size_t begin, std::size_t end) {
+      for (std::size_t i = begin; i < end; ++i) {
+        const double a = std::abs(chunk[i]);
+        hot |= static_cast<unsigned>(!(a < threshold));
+        nonzero |= static_cast<unsigned>(a != 0.0);
+      }
+    };
+    std::size_t scanned = 0;
+    for (; hot == 0 && scanned + kScanBlock <= count; scanned += kScanBlock) {
+      scan(scanned, scanned + kScanBlock);
+    }
+    if (hot == 0) scan(scanned, count);
+    if (live != nullptr) live[c] = static_cast<std::uint8_t>(hot);
+    if (hot != 0 || nonzero == 0) continue;
+    // Four fixed partial sums: the order is part of the code, so every
+    // engine sums a dropped chunk to the same bits.
+    double partial[4] = {0.0, 0.0, 0.0, 0.0};
+    std::size_t i = 0;
+    for (; i + 4 <= count; i += 4) {
+      for (std::size_t j = 0; j < 4; ++j) partial[j] += chunk[i + j];
+    }
+    for (; i < count; ++i) partial[i % 4] += chunk[i];
+    dropped[c] += (partial[0] + partial[1]) + (partial[2] + partial[3]);
+    std::fill(chunk, chunk + count, 0.0);
+  }
+}
+
 void VectorStepExecutor::load(const std::vector<double>& current,
-                              double weight0) {
+                              double weight0, double drop_threshold) {
   power_ = current;
   next_.resize(current.size());
   accum_.assign(current.size(), 0.0);
   if (weight0 != 0.0) linalg::axpy(weight0, current, accum_);
+  drop_threshold_ = drop_threshold;
+  chunk_dropped_.assign(drop_chunk_count(current.size()), 0.0);
+  rows_iterated_ = 0;
+}
+
+StepExecutor::IncrementWork VectorStepExecutor::increment_work() const {
+  IncrementWork work;
+  work.rows_iterated = rows_iterated_;
+  for (const double chunk : chunk_dropped_) work.dropped_mass += chunk;
+  return work;
 }
 
 void VectorStepExecutor::fold(double residual) {
@@ -53,6 +115,8 @@ std::vector<std::vector<double>> UniformizationDriver::run(
   stats.time_points = times.size();
   stats.uniformization_rate = rate;
   stats.active_states = reachable.size();
+  stats.rows_iterated = 0;
+  stats.dropped_mass = 0.0;
   const std::uint64_t windows_computed_before = plan_.windows_computed();
   const std::uint64_t windows_reused_before = plan_.windows_reused();
   const bool detect = options_.steady_state_detection;
@@ -78,7 +142,9 @@ std::vector<std::vector<double>> UniformizationDriver::run(
           plan_.window(rate * dt, options_.epsilon);
       const PoissonWindow& window = *window_ptr;
       // n = 0 term: current == pi(t_k) exactly.
-      executor.load(current_, window.left == 0 ? window.weight(0) : 0.0);
+      executor.load(
+          current_, window.left == 0 ? window.weight(0) : 0.0,
+          drop_threshold(options_.epsilon, window.right, reachable.size()));
       std::uint64_t calm_steps = 0;  // consecutive steps inside the budget
       for (std::uint64_t n = 1; n <= window.right; ++n) {
         const double weight = n >= window.left ? window.weight(n) : 0.0;
@@ -114,6 +180,9 @@ std::vector<std::vector<double>> UniformizationDriver::run(
         }
       }
       executor.read_back(current_);
+      const StepExecutor::IncrementWork work = executor.increment_work();
+      stats.rows_iterated += work.rows_iterated;
+      stats.dropped_mass += work.dropped_mass;
       if (options_.renormalize) {
         executor.scale(linalg::normalize_probability(current_));
       }

@@ -20,6 +20,25 @@
 // step executes -- inline, sharded over a thread pool, streamed from disk
 // tiles or split across worker processes -- which they supply as a
 // StepExecutor.  TransientSolver is the driver plus the inline executor.
+//
+// Mass window.  The probability mass of the expanded battery chains moves
+// as a blob, at most one charge level per step, so most rows of the loop
+// vector hold nothing, or nothing that matters, at any one step.  The
+// loop space is cut into fixed chunks of kDropChunkRows rows; after every
+// DTMC step each executor zeroes every chunk whose entries all lie below
+// the increment's threshold theta = epsilon / (100 * window.right * rows)
+// (drop_threshold, drop_cold_chunks).  A step then drops less than
+// rows * theta of mass, and a whole increment less than epsilon / 100,
+// by construction; TransientStats::dropped_mass reports what was
+// dropped.  The rule reads one fixed chunk at a time, so it does not
+// depend on how an executor partitions rows: every engine drops the
+// same chunks and stays bitwise identical to the others.  The in-memory
+// executor (engine::GatherExecutor) additionally steps only the hull of
+// the chunks that still carry mass, widened by the matrix's reach, which
+// is where the rule pays: TransientStats::rows_iterated counts the rows
+// actually stepped.  (This is adaptive uniformisation in the sense of
+// van Moorsel & Sanders, 1994, and fast adaptive uniformisation,
+// Dannenberg, Hahn & Kwiatkowska, 2015, with a fixed state space.)
 #pragma once
 
 #include <cstdint>
@@ -101,7 +120,44 @@ struct TransientStats {
   /// runs) and the longest such run; see linalg::StructureStats.
   std::uint64_t diagonal_rows = 0;
   std::uint64_t longest_diagonal_run = 0;
+  /// Loop rows the DTMC steps actually iterated, summed over steps: up to
+  /// iterations * active_states, less where the mass window skips rows.
+  std::uint64_t rows_iterated = 0;
+  /// Probability mass the mass window zeroed (see the file comment),
+  /// summed per chunk over each increment, then over chunks in chunk
+  /// order, then over increments -- the same bits at every lane, tile and
+  /// shard count.  Below epsilon / 100 per increment by construction.
+  double dropped_mass = 0.0;
 };
+
+/// Rows per chunk of the mass window; a constant, so every engine cuts
+/// the loop space identically.
+inline constexpr std::size_t kDropChunkRows = 512;
+
+/// Chunks covering `rows` loop rows (the last one may be partial).
+inline std::size_t drop_chunk_count(std::size_t rows) {
+  return (rows + kDropChunkRows - 1) / kDropChunkRows;
+}
+
+/// The drop threshold theta of one increment whose Fox-Glynn window ends
+/// at `window_right`, over `rows` loop rows: epsilon / (100 *
+/// window_right * rows), so that at most window_right steps that each
+/// drop less than rows * theta drop less than epsilon / 100 in total.
+/// 0 (drop nothing) for an empty loop space or window.
+double drop_threshold(double epsilon, std::uint64_t window_right,
+                      std::size_t rows);
+
+/// Applies the mass-window drop rule to chunks [chunk_begin, chunk_end)
+/// of the loop vector `v` (`rows` entries): a chunk whose entries all lie
+/// below `threshold` in magnitude is zeroed and its sum, taken in row
+/// order, is added to dropped[chunk]; any other chunk -- one with an
+/// entry at or above the threshold, or a NaN -- is kept untouched.  When
+/// `live` is non-null, live[chunk] records whether the chunk was kept.
+/// Chunks are disjoint, so callers may apply it to disjoint chunk ranges
+/// concurrently.
+void drop_cold_chunks(double* v, std::size_t rows, std::size_t chunk_begin,
+                      std::size_t chunk_end, double threshold,
+                      double* dropped, std::uint8_t* live);
 
 /// Called with (index, time, distribution) as soon as each requested time
 /// point is ready.
@@ -117,12 +173,15 @@ class StepExecutor {
 
   /// Starts an increment from pi(t_k) = `current`: the power vector
   /// becomes `current` and the accumulator weight0 * current (weight0 is
-  /// 0 when the n = 0 term lies left of the window).
-  virtual void load(const std::vector<double>& current, double weight0) = 0;
+  /// 0 when the n = 0 term lies left of the window).  Every step of the
+  /// increment ends with drop_cold_chunks(power, drop_threshold).
+  virtual void load(const std::vector<double>& current, double weight0,
+                    double drop_threshold) = 0;
 
-  /// One DTMC step power <- power * P with accum += weight * power; returns
-  /// ||power_new - power_old||_inf.  The driver reads the delta only when
-  /// `want_delta` is set.
+  /// One DTMC step power <- power * P with accum += weight * power, then
+  /// the mass-window drop on the new power vector; returns
+  /// ||power_new - power_old||_inf, taken before the drop.  The driver
+  /// reads the delta only when `want_delta` is set.
   virtual double step(double weight, bool want_delta) = 0;
 
   /// Steady state: accum += residual * power, in place of the window's
@@ -132,18 +191,30 @@ class StepExecutor {
   /// Moves the increment's result (the accumulator) into `current`.
   virtual void read_back(std::vector<double>& current) = 0;
 
+  /// What the increment's steps cost and dropped; read after read_back().
+  struct IncrementWork {
+    /// Loop rows stepped, summed over the increment's steps.
+    std::uint64_t rows_iterated = 0;
+    /// Mass dropped: per chunk over the steps, then in chunk order.
+    double dropped_mass = 0.0;
+  };
+  virtual IncrementWork increment_work() const = 0;
+
   /// The driver renormalised `current` by `alpha`; executors that hold the
   /// distribution elsewhere too apply the same factor there.
   virtual void scale(double /*alpha*/) {}
 };
 
 /// StepExecutor over in-process power/next/accumulator vectors: concrete
-/// executors add step() only.
+/// executors add step(), which counts its rows into rows_iterated_ and
+/// drops through drop_cold_chunks(chunk_dropped_).
 class VectorStepExecutor : public StepExecutor {
  public:
-  void load(const std::vector<double>& current, double weight0) override;
+  void load(const std::vector<double>& current, double weight0,
+            double drop_threshold) override;
   void fold(double residual) override;
   void read_back(std::vector<double>& current) override;
+  IncrementWork increment_work() const override;
 
  protected:
   // Scratch reused across increments and solves: a whole curve allocates
@@ -151,6 +222,10 @@ class VectorStepExecutor : public StepExecutor {
   std::vector<double> power_;
   std::vector<double> next_;
   std::vector<double> accum_;
+  // The increment's drop threshold, per-chunk dropped mass and rows.
+  double drop_threshold_ = 0.0;
+  std::vector<double> chunk_dropped_;
+  std::uint64_t rows_iterated_ = 0;
 };
 
 /// The one uniformisation loop behind every engine (see the file comment).
@@ -168,7 +243,8 @@ class UniformizationDriver {
   /// through `executor`.  `reachable` maps compact loop indices to full
   /// states; `initial` and emitted points are full-dimension.  Writes the
   /// loop counters (iterations, savings, windows, time points, rate,
-  /// active states) into `stats` and leaves its other fields alone.
+  /// active states, rows iterated, dropped mass) into `stats` and leaves
+  /// its other fields alone.
   std::vector<std::vector<double>> run(StepExecutor& executor, double rate,
                                        std::span<const std::uint32_t> reachable,
                                        const std::vector<double>& initial,

@@ -10,13 +10,16 @@
 //      cannot change the arithmetic).
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "kibamrm/common/error.hpp"
 #include "kibamrm/core/approx_solver.hpp"
 #include "kibamrm/core/expanded_ctmc.hpp"
 #include "kibamrm/engine/parallel_backend.hpp"
+#include "kibamrm/engine/plan_cache.hpp"
 #include "kibamrm/engine/scenario_batch.hpp"
 #include "kibamrm/engine/transient_backend.hpp"
 #include "kibamrm/linalg/expm.hpp"
@@ -178,6 +181,91 @@ TEST(ParallelBackend, FusedMatchesDenseExpmOracle) {
   EXPECT_EQ(stats.active_states, 512u);
   EXPECT_TRUE(pool_pays_off(4, stats.active_nonzeros, stats.active_states))
       << "the chain must be large enough to exercise the pool path";
+}
+
+TEST(MassWindow, EnginesAgreeBytewiseWhereTheWindowDrops) {
+  // Fig. 8 at Delta = 50 drops probability mass (the cold chunks at the
+  // blob's edges), so every engine must apply the same drop rule to the
+  // same chunks: the windowed in-memory step at 1 and 4 lanes, the ooc
+  // engine's tile sweep with small tiles, and the sharded engine's
+  // chunk-aligned bands at 2 and 3 shards all iterate different row
+  // sets in different partitions and must still agree byte for byte.
+  const auto expanded = core::build_expanded_chain(fig8_kibam(), 50.0);
+  const auto times = core::uniform_grid(4000.0, 12000.0, 5);
+  auto reference = make_backend("parallel", {.threads = 1});
+  const auto expected =
+      reference->solve(expanded.chain, expanded.initial, times);
+  const BackendStats reference_stats = reference->last_stats();
+  ASSERT_GT(reference_stats.dropped_mass, 0.0)
+      << "the scenario must exercise the drop";
+  EXPECT_LT(reference_stats.rows_iterated,
+            reference_stats.iterations * reference_stats.active_states);
+
+  struct Case {
+    const char* engine;
+    BackendOptions options;
+  };
+  const Case cases[] = {
+      {"uniformization", {}},
+      {"parallel", {.threads = 4}},
+      {"ooc", {.threads = 2, .tile_bytes = 16 << 10}},
+      {"sharded", {.shards = 2}},
+      {"sharded", {.shards = 3}},
+  };
+  for (const Case& c : cases) {
+    auto backend = make_backend(c.engine, c.options);
+    const auto actual =
+        backend->solve(expanded.chain, expanded.initial, times);
+    const std::string label = std::string(c.engine) + " threads " +
+                              std::to_string(c.options.threads) + " shards " +
+                              std::to_string(c.options.shards);
+    ASSERT_EQ(actual.size(), expected.size()) << label;
+    for (std::size_t k = 0; k < times.size(); ++k) {
+      ASSERT_EQ(actual[k].size(), expected[k].size()) << label;
+      EXPECT_EQ(std::memcmp(actual[k].data(), expected[k].data(),
+                            expected[k].size() * sizeof(double)),
+                0)
+          << label << " at t = " << times[k];
+    }
+    const BackendStats& stats = backend->last_stats();
+    EXPECT_EQ(stats.iterations, reference_stats.iterations) << label;
+    EXPECT_EQ(std::memcmp(&stats.dropped_mass, &reference_stats.dropped_mass,
+                          sizeof(double)),
+              0)
+        << label << ": dropped " << stats.dropped_mass << " against "
+        << reference_stats.dropped_mass;
+    const bool windowed = std::string(c.engine) == "parallel" ||
+                          std::string(c.engine) == "uniformization";
+    EXPECT_EQ(stats.rows_iterated,
+              windowed ? reference_stats.rows_iterated
+                       : stats.iterations * stats.active_states)
+        << label;
+  }
+}
+
+TEST(GatherPlanCache, RebuildsAnEntryThatCannotServeTheChain) {
+  // A cached plan serves only the chain size it was built for and only
+  // seeds inside its closure -- the cheap invariants behind a key match.
+  const markov::Ctmc ring = pooled_ring_chain();
+  const double rate = markov::UniformizationDriver::select_rate(ring);
+  const std::vector<std::uint32_t> seeds = {0, 100};
+  const auto plan = build_cached_gather_plan(ring.generator(), rate, seeds);
+  EXPECT_EQ(plan->state_count, ring.state_count());
+  EXPECT_TRUE(plan->serves(ring.generator(), seeds));
+  // State 515 is a feeder outside the ring's closure.
+  const std::vector<std::uint32_t> outside = {0, 515};
+  EXPECT_FALSE(plan->serves(ring.generator(), outside));
+  const markov::Ctmc small = markov::ctmc_from_rates({{0.0, 1.0}, {1.0, 0.0}});
+  const std::vector<std::uint32_t> zero = {0};
+  EXPECT_FALSE(plan->serves(small.generator(), zero));
+
+  GatherPlanCache cache;
+  const auto first = cache.obtain(ring.generator(), rate, seeds);
+  const auto again = cache.obtain(ring.generator(), rate, seeds);
+  EXPECT_EQ(first, again);
+  EXPECT_EQ(cache.plans_built(), 1u);
+  EXPECT_EQ(cache.plans_reused(), 1u);
+  EXPECT_TRUE(again->serves(ring.generator(), seeds));
 }
 
 TEST(ScenarioBatch, MatchesSequentialSolvesAndThreadCountInvariant) {

@@ -13,6 +13,7 @@
 //   3. the plan cache never changes a result, it only skips setup work.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -27,6 +28,7 @@
 #include "kibamrm/engine/sharded_backend.hpp"
 #include "kibamrm/engine/transient_backend.hpp"
 #include "kibamrm/linalg/shard_plan.hpp"
+#include "kibamrm/markov/uniformization.hpp"
 #include "kibamrm/workload/onoff_model.hpp"
 
 namespace kibamrm::engine {
@@ -94,6 +96,38 @@ TEST(ShardPlan, HaloSpansLieInsideTheSourceBand) {
     bytes += span.rows() * sizeof(double);
   }
   EXPECT_EQ(plan.halo_bytes_per_step(), bytes);
+}
+
+TEST(ShardPlan, AlignedBandsCutAtChunkEdges) {
+  // The sharded engine cuts at the mass window's chunk edges so every
+  // chunk has one owner; snapped cuts that collapse leave trailing empty
+  // bands, never a gap.
+  const std::size_t n = 5 * markov::kDropChunkRows + 77;
+  const std::vector<std::uint32_t> counts(n, 3);
+  std::vector<std::uint32_t> lo(n);
+  std::vector<std::uint32_t> hi(n);
+  for (std::size_t r = 0; r < n; ++r) {
+    lo[r] = static_cast<std::uint32_t>(r == 0 ? 0 : r - 1);
+    hi[r] = static_cast<std::uint32_t>(std::min(n - 1, r + 1));
+  }
+  for (const std::size_t shards : {2u, 3u, 4u, 8u}) {
+    const auto plan = linalg::ShardPlan::build(counts, lo, hi, shards,
+                                               markov::kDropChunkRows);
+    ASSERT_EQ(plan.bands().size(), shards);
+    std::size_t covered = 0;
+    for (const linalg::ShardBand& band : plan.bands()) {
+      EXPECT_EQ(band.row_begin, covered);
+      EXPECT_TRUE(band.row_begin % markov::kDropChunkRows == 0 ||
+                  band.row_begin == n)
+          << "shards " << shards << ": band starts at " << band.row_begin;
+      covered = band.row_end;
+    }
+    EXPECT_EQ(covered, n);
+  }
+  // Eight shards over six chunks: at most six bands hold rows.
+  const auto wide = linalg::ShardPlan::build(counts, lo, hi, 8,
+                                             markov::kDropChunkRows);
+  EXPECT_EQ(wide.bands().back().rows(), 0u);
 }
 
 TEST(ShmChannel, RoundTripsFramesAndDetectsCorruption) {

@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
 #include "kibamrm/common/error.hpp"
+#include "kibamrm/engine/gather_executor.hpp"
+#include "kibamrm/engine/plan_cache.hpp"
+#include "kibamrm/linalg/csr_matrix.hpp"
 #include "kibamrm/linalg/expm.hpp"
 #include "kibamrm/linalg/vector_ops.hpp"
 #include "kibamrm/markov/ctmc.hpp"
@@ -294,7 +298,10 @@ class ScriptedExecutor final : public StepExecutor {
   explicit ScriptedExecutor(std::vector<double> deltas)
       : deltas_(std::move(deltas)) {}
 
-  void load(const std::vector<double>&, double) override { ++loads; }
+  void load(const std::vector<double>&, double, double threshold) override {
+    ++loads;
+    thresholds.push_back(threshold);
+  }
   double step(double, bool) override {
     const double delta = steps < deltas_.size() ? deltas_[steps] : 1.0;
     ++steps;
@@ -305,8 +312,10 @@ class ScriptedExecutor final : public StepExecutor {
     residual = tail;
   }
   void read_back(std::vector<double>&) override {}  // pi(t) stays initial
+  IncrementWork increment_work() const override { return {}; }
 
   std::size_t loads = 0;
+  std::vector<double> thresholds;
   std::size_t steps = 0;
   std::size_t folds = 0;
   double residual = 0.0;
@@ -354,6 +363,138 @@ TEST(UniformizationDriver, TwoCalmStepsFoldTheResidualTail) {
   EXPECT_EQ(stats.iterations + stats.iterations_saved, window.right);
   EXPECT_EQ(stats.steady_state_hits, 1u);
   EXPECT_EQ(stats.windows_computed, 1u);
+}
+
+TEST(UniformizationDriver, DropThresholdFollowsTheWindow) {
+  // theta = epsilon / (100 * window.right * loop rows), once per
+  // increment, through the one shared function.
+  ScriptedExecutor executor({});
+  TransientStats stats;
+  const PoissonWindow window = run_scripted(executor, stats);
+  const double epsilon = TransientOptions{}.epsilon;
+  ASSERT_EQ(executor.thresholds.size(), 1u);
+  EXPECT_EQ(executor.thresholds[0],
+            epsilon / (100.0 * static_cast<double>(window.right) * 2.0));
+  EXPECT_EQ(executor.thresholds[0], drop_threshold(epsilon, window.right, 2));
+  EXPECT_EQ(drop_threshold(epsilon, 0, 2), 0.0);
+  EXPECT_EQ(drop_threshold(epsilon, window.right, 0), 0.0);
+}
+
+// Forwards to a real executor and records each increment's work.
+class RecordingExecutor final : public StepExecutor {
+ public:
+  explicit RecordingExecutor(StepExecutor& inner) : inner_(inner) {}
+
+  void load(const std::vector<double>& current, double weight0,
+            double threshold) override {
+    inner_.load(current, weight0, threshold);
+    thresholds.push_back(threshold);
+  }
+  double step(double weight, bool want_delta) override {
+    return inner_.step(weight, want_delta);
+  }
+  void fold(double residual) override { inner_.fold(residual); }
+  void read_back(std::vector<double>& current) override {
+    inner_.read_back(current);
+    increments.push_back(inner_.increment_work());
+  }
+  IncrementWork increment_work() const override {
+    return inner_.increment_work();
+  }
+
+  std::vector<double> thresholds;
+  std::vector<IncrementWork> increments;
+
+ private:
+  StepExecutor& inner_;
+};
+
+TEST(UniformizationDriver, EachIncrementDropsLessThanAHundredthOfEpsilon) {
+  // A pure-drift chain of 16 chunks: the mass moves right one state per
+  // unit time, so the chunks it leaves behind decay below the threshold
+  // and drop with mass still in them.
+  const std::size_t n = 16 * kDropChunkRows;
+  std::vector<std::uint32_t> row_ptr = {0};
+  std::vector<std::uint32_t> col_idx;
+  std::vector<double> values;
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    col_idx.insert(col_idx.end(), {static_cast<std::uint32_t>(i),
+                                   static_cast<std::uint32_t>(i + 1)});
+    values.insert(values.end(), {-1.0, 1.0});
+    row_ptr.push_back(static_cast<std::uint32_t>(col_idx.size()));
+  }
+  row_ptr.push_back(row_ptr.back());  // the last state absorbs
+  const Ctmc chain(linalg::CsrMatrix::from_rows(
+      n, n, std::move(row_ptr), std::move(col_idx), std::move(values)));
+  std::vector<double> initial(n, 0.0);
+  initial[0] = 1.0;
+  std::vector<std::uint32_t> reachable(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    reachable[i] = static_cast<std::uint32_t>(i);
+  }
+  std::vector<double> times;
+  for (int k = 1; k <= 24; ++k) times.push_back(250.0 * k);
+
+  const TransientOptions options;
+  const double rate = UniformizationDriver::select_rate(chain);
+  engine::GatherExecutor gather(nullptr);
+  gather.bind(engine::build_cached_gather_plan(chain.generator(), rate,
+                                               std::vector<std::uint32_t>{0}));
+  RecordingExecutor executor(gather);
+  UniformizationDriver driver(options);
+  TransientStats stats;
+  const auto curves = driver.run(executor, rate, reachable, initial, times,
+                                 nullptr, stats);
+
+  ASSERT_EQ(executor.increments.size(), times.size());
+  double total = 0.0;
+  for (std::size_t k = 0; k < executor.increments.size(); ++k) {
+    EXPECT_GT(executor.thresholds[k], 0.0);
+    EXPECT_LE(executor.increments[k].dropped_mass, options.epsilon / 100.0)
+        << "increment " << k;
+    total += executor.increments[k].dropped_mass;
+  }
+  EXPECT_GT(total, 0.0) << "the chain must drop mass for the test to bite";
+  EXPECT_EQ(stats.dropped_mass, total);
+  EXPECT_LT(stats.rows_iterated, stats.iterations * n);
+  // The drop is charged to the curve: renormalised, it still sums to one.
+  EXPECT_NEAR(linalg::sum(curves.back()), 1.0, 1e-12);
+}
+
+TEST(UniformizationDriver, AChunkHoldingANaNIsNeverDropped) {
+  // Three chunks, the last one partial, every entry below the threshold;
+  // the NaN keeps chunk 1 whole so NumericalError paths downstream still
+  // see it.
+  const double threshold = 1e-20;
+  const std::size_t rows = 2 * kDropChunkRows + 100;
+  std::vector<double> v(rows, 1e-30);
+  v[kDropChunkRows + 7] = std::nan("");
+  std::vector<double> dropped(3, 0.0);
+  std::vector<std::uint8_t> live(3, 9);
+  drop_cold_chunks(v.data(), rows, 0, 3, threshold, dropped.data(),
+                   live.data());
+  EXPECT_EQ(live, (std::vector<std::uint8_t>{0, 1, 0}));
+  EXPECT_GT(dropped[0], 0.0);
+  EXPECT_EQ(dropped[1], 0.0);
+  EXPECT_GT(dropped[2], 0.0);
+  EXPECT_LT(dropped[2], dropped[0]);  // 100 rows against 512
+  for (std::size_t i = 0; i < rows; ++i) {
+    const bool kept = i / kDropChunkRows == 1;
+    if (i == kDropChunkRows + 7) {
+      EXPECT_TRUE(std::isnan(v[i]));
+    } else {
+      EXPECT_EQ(v[i], kept ? 1e-30 : 0.0) << "row " << i;
+    }
+  }
+  // An entry at the threshold keeps its chunk, as does one past it.
+  std::vector<double> edge(kDropChunkRows, 0.0);
+  edge[kDropChunkRows - 1] = threshold;
+  std::uint8_t edge_live = 0;
+  double edge_dropped = 0.0;
+  drop_cold_chunks(edge.data(), edge.size(), 0, 1, threshold, &edge_dropped,
+                   &edge_live);
+  EXPECT_EQ(edge_live, 1);
+  EXPECT_EQ(edge[kDropChunkRows - 1], threshold);
 }
 
 }  // namespace

@@ -50,8 +50,7 @@ int main(int argc, char** argv) {
   common::CliArgs args(argc, argv);
   args.declare("csv").declare("full").declare("engine").declare("json")
       .declare("threads").declare("no-detect").declare("kernels")
-      .declare("reorder").declare("tile-mb").declare("spill-dir")
-      .declare("shards");
+      .declare("reorder");
   args.validate();
   bench::apply_kernel_choice(args);
   const std::string engine =

@@ -10,12 +10,6 @@
 //   --threads N     engine/batch execution lanes (0/absent = auto-detect)
 //   --batch         solve all configurations through engine::ScenarioBatch
 //   --no-detect     disable steady-state early termination
-//   --tile-mb N     streamed tile size in MB for --engine ooc (default 8)
-//   --spill-dir P   directory for the ooc engine's tile spill file
-//                   (default $TMPDIR, falling back to /tmp); must exist
-//   --shards N      worker processes for --engine sharded (default 1;
-//                   each worker additionally runs --threads lanes, so
-//                   shards x threads composes)
 //   --kernels T     pin the vector-kernel tier: scalar | avx2 | avx512 | auto
 //                   (default auto = CPUID; the tiers are bitwise identical,
 //                   the pin is for measurement and for sanitizer runs.  An
@@ -187,12 +181,7 @@ class BenchReport {
 /// under a fictitious thread count 0.
 inline std::size_t resolved_thread_count(const std::string& engine,
                                          std::size_t requested) {
-  // The sharded engine reads 0 as one lane per worker (auto-detecting
-  // inside N forked workers would oversubscribe N-fold).
-  if (engine == "sharded") return requested == 0 ? 1 : requested;
-  if (engine != "parallel" && engine != "krylov" && engine != "ooc") {
-    return 1;
-  }
+  if (engine != "parallel" && engine != "krylov") return 1;
   return requested == 0 ? common::ThreadPool::hardware_thread_count()
                         : requested;
 }
@@ -200,18 +189,12 @@ inline std::size_t resolved_thread_count(const std::string& engine,
 /// Engine-tuning flags shared by every solver driver, for
 /// core::ApproximationOptions and engine::ScenarioBatchOptions alike:
 /// --no-detect disables steady-state early termination (uniformisation
-/// engines; other engines ignore it), --tile-mb N and --spill-dir PATH
-/// size and place the "ooc" engine's streamed tile store, --shards N sets
-/// the "sharded" engine's worker count (other engines ignore them).
+/// engines; other engines ignore it) and --reorder picks the state
+/// ordering.
 template <typename Options>
 void apply_engine_tuning(const common::CliArgs& args, Options& options) {
   options.steady_state_detection = !args.has("no-detect");
   options.reorder = reorder_choice(args);
-  options.tile_bytes =
-      static_cast<std::size_t>(args.get_positive_int("tile-mb", 8)) << 20;
-  options.spill_dir = args.get_directory("spill-dir", "");
-  options.shards =
-      static_cast<std::size_t>(args.get_positive_int("shards", 1));
 }
 
 /// One engine-backed approximation solve for the sweep drivers: constructs
@@ -291,15 +274,6 @@ inline BenchRecord& add_stats_record(BenchReport& report,
       .field("substeps", stats.substeps)
       .field("hessenberg_expms", stats.hessenberg_expms)
       .field("krylov_ortho_work", stats.krylov_ortho_work)
-      .field("ooc_tiles", stats.ooc_tiles)
-      .field("ooc_tile_reads", stats.ooc_tile_reads)
-      .field("ooc_prefetch_hits", stats.ooc_prefetch_hits)
-      .field("ooc_bytes_streamed", stats.ooc_bytes_streamed)
-      .field("ooc_spill_bytes", stats.ooc_spill_bytes)
-      .field("shards", stats.shards)
-      .field("halo_bytes_per_step", stats.halo_bytes_per_step)
-      .field("halo_wait_ns", stats.halo_wait_ns)
-      .field("shard_nnz_imbalance", stats.shard_nnz_imbalance)
       .field("spmv_throughput", spmv_throughput(stats, wall_seconds))
       .field("peak_rss_bytes", common::peak_rss_bytes())
       .field("wall_seconds", wall_seconds)

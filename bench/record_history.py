@@ -26,8 +26,8 @@ build directory's BENCH_*.json (or, without --dir, the newest history
 line) against the *median* of the matching configurations across all
 earlier history lines, and fails (exit 1) when any configuration
 regressed by more than the threshold (default 20%).  Configurations
-are matched on (bench, engine, delta, threads, kernels, reorder, shards,
-scenario), so a new kernel tier or ordering starts its own trend
+are matched on (bench, engine, delta, threads, kernels, reorder,
+scenario, batch), so a new kernel tier or ordering starts its own trend
 instead of tripping the gate; values below --min-value seconds are
 noise and never gate.
 """
@@ -132,7 +132,7 @@ def record_key(bench, record):
     return (bench, record.get("engine", "?"), record.get("delta"),
             record.get("threads"), record.get("kernels"),
             record.get("reorder"), record.get("scenario"),
-            record.get("batch"), record.get("shards"))
+            record.get("batch"))
 
 
 def metric_values(benches, metric):

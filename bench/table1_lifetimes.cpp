@@ -80,8 +80,7 @@ int main(int argc, char** argv) {
   args.declare("csv").declare("full").declare("runs").declare("engine")
       .declare("threads").declare("delta").declare("json")
       .declare("no-detect").declare("kernels")
-      .declare("reorder").declare("tile-mb").declare("spill-dir")
-      .declare("shards");
+      .declare("reorder");
   args.validate();
   bench::apply_kernel_choice(args);
   const int runs = args.get_int("runs", args.has("full") ? 200 : 50);

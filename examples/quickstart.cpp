@@ -7,20 +7,16 @@
 //      approximation; cross-check with Monte-Carlo simulation.
 //
 // Build & run:
-//   ./examples/quickstart [--engine uniformization|adaptive|dense|parallel|
-//                                    krylov|ooc|sharded]
+//   ./examples/quickstart [--engine uniformization|dense|parallel|krylov]
 //                         [--threads N]
 //                         [--kernels auto|scalar|avx2|avx512]
 //                         [--reorder level|none]
-//                         [--tile-mb N] [--spill-dir PATH]   (ooc engine)
-//                         [--shards N]                    (sharded engine)
 //
 // The engine flag swaps the transient solver behind the approximation; all
 // engines agree within solver tolerance (see tests/test_engine_backends).
 // "parallel" shards the uniformisation kernel over N threads (0/absent
 // auto-detects the hardware) and reproduces "uniformization" bitwise per
-// thread count.  "sharded" forks N worker processes that exchange halo
-// rows over shared memory, bitwise identical to "parallel" again.
+// thread count.
 #include <iostream>
 
 #include "kibamrm/common/cli.hpp"
@@ -37,8 +33,7 @@ int main(int argc, char** argv) {
 
   common::CliArgs args(argc, argv);
   args.declare("engine").declare("delta").declare("threads")
-      .declare("no-detect").declare("kernels").declare("reorder")
-      .declare("tile-mb").declare("spill-dir").declare("shards");
+      .declare("no-detect").declare("kernels").declare("reorder");
   args.validate();
   // --kernels pins the process-global vector tier before anything runs
   // (the tiers are bitwise identical; scalar is the sanitizer-CI escape
@@ -79,24 +74,12 @@ int main(int argc, char** argv) {
               // steady-state early termination is on by default and
               // --no-detect switches it off for A/B comparisons.
               .steady_state_detection = !args.has("no-detect"),
-              // --tile-mb / --spill-dir tune the "ooc" engine's streamed
-              // tile size and spill-file location; other engines ignore
-              // them.
-              .tile_bytes = static_cast<std::size_t>(
-                                args.get_positive_int("tile-mb", 8))
-                            << 20,
-              .spill_dir = args.get_directory("spill-dir", ""),
               // --reorder numbers the expanded chain's states (the
               // default, level, packs the runs the SIMD gather tiers
               // want; none keeps the natural order).  The curve reads
               // the empty layer through the permutation, so it is the
               // same either way.
-              .reorder = reorder,
-              // --shards forks that many worker processes under the
-              // "sharded" engine (each running --threads lanes); other
-              // engines ignore it.
-              .shards = static_cast<std::size_t>(
-                  args.get_positive_int("shards", 1))});
+              .reorder = reorder});
   const core::LifetimeCurve curve = solver.solve(times);
 
   // Monte-Carlo cross-check (1000 runs).

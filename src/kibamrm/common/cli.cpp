@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <filesystem>
 #include <sstream>
-#include <system_error>
 
 #include "kibamrm/common/error.hpp"
 
@@ -124,23 +122,6 @@ std::string CliArgs::get_choice(const std::string& name,
   throw InvalidArgument(list_choices("option --" + name +
                                      " has unknown value '" + value +
                                      "'; choices:"));
-}
-
-std::string CliArgs::get_directory(const std::string& name,
-                                   const std::string& fallback) const {
-  const auto it = options_.find(name);
-  if (it == options_.end()) return fallback;
-  if (!it->second.has_value()) {
-    throw InvalidArgument("option --" + name +
-                          " requires a directory path value");
-  }
-  const std::string& value = *it->second;
-  std::error_code ec;
-  if (!std::filesystem::is_directory(value, ec) || ec) {
-    throw InvalidArgument("option --" + name +
-                          " must name an existing directory, got: " + value);
-  }
-  return value;
 }
 
 CliArgs& CliArgs::declare(const std::string& name) {

@@ -51,14 +51,6 @@ class CliArgs {
   std::string get_choice(const std::string& name, const std::string& fallback,
                          const std::vector<std::string>& allowed) const;
 
-  /// Value of `--name` required to be an *existing directory* when
-  /// provided -- spill/output locations, where a typo'd path would
-  /// otherwise surface minutes into a solve as an opaque open() failure.
-  /// The fallback (typically "" = use $TMPDIR) is exempt.  A `--name`
-  /// without a value throws, like get_choice.
-  std::string get_directory(const std::string& name,
-                            const std::string& fallback) const;
-
   /// Positional (non-option) arguments in order of appearance.
   const std::vector<std::string>& positional() const { return positional_; }
 

@@ -38,15 +38,6 @@ class NumericalError : public Error {
   explicit NumericalError(const std::string& what) : Error(what) {}
 };
 
-/// Inter-process communication with a solver worker failed: the peer died,
-/// a frame arrived malformed (length/checksum mismatch), or a transfer
-/// timed out.  The sharded backend maps this onto a per-scenario failure,
-/// so a crashed worker fails one scenario, never the whole batch.
-class IpcError : public Error {
- public:
-  explicit IpcError(const std::string& what) : Error(what) {}
-};
-
 namespace detail {
 [[noreturn]] void throw_requirement_failure(const char* expr,
                                             const std::string& message,

@@ -1,8 +1,8 @@
 // Clang thread-safety annotations + annotated synchronisation wrappers.
 //
-// The concurrent core of the library (common::ThreadPool, the sharded
-// backends, the ooc tile pipeline) keeps its invariants by lock
-// discipline that TSan can only check for the schedules a test happens
+// The concurrent core of the library (common::ThreadPool and the
+// gather-plan cache shared across a batch's lanes) keeps its invariants
+// by lock discipline that TSan can only check for the schedules a test happens
 // to produce.  This header makes the discipline *compile-time checked*:
 // the CI static-analysis job builds the tree with clang's
 // -Wthread-safety -Werror, and every mutex-protected member is declared

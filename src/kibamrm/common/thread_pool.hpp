@@ -20,9 +20,8 @@
 //
 // Users: the pool-sharded gather of engine/GatherExecutor (parallel and
 // uniformization engines), the krylov engine's matvec and step combine,
-// linalg::arnoldi's sharded sweeps, the sharded engine's inner lanes, the
-// ooc engine's producer/compute roles and engine/ScenarioBatch
-// (concurrent scenario solves with per-lane scratch).
+// linalg::arnoldi's sharded sweeps and engine/ScenarioBatch (concurrent
+// scenario solves with per-lane scratch).
 #pragma once
 
 #include <atomic>

@@ -18,10 +18,7 @@ MarkovianApproximation::MarkovianApproximation(const KibamRmModel& model,
            // The curve only needs the streamed Pr{empty} values, not one
            // distribution copy per time point.
            .collect_distributions = false,
-           .steady_state_detection = options_.steady_state_detection,
-           .tile_bytes = options_.tile_bytes,
-           .spill_dir = options_.spill_dir,
-           .shards = options_.shards})) {
+           .steady_state_detection = options_.steady_state_detection})) {
   stats_.expanded_states = expanded_.grid.state_count();
   stats_.generator_nonzeros = expanded_.chain.generator().nonzeros();
   stats_.engine = options_.engine;

@@ -6,8 +6,8 @@
 // transiently through a pluggable engine (engine/transient_backend) and read
 // off Pr{battery empty at t} as the probability mass in the absorbing
 // j1 = 0 layer.  The default engine is the paper's uniformisation; the
-// adaptive ODE stepper and the dense matrix exponential are selectable by
-// name for small chains and cross-validation.  Complexity of the default is
+// Krylov projection and the dense matrix exponential are selectable by
+// name for stiff chains and cross-validation.  Complexity of the default is
 // O(N^2 q t (u1/Delta)(u2/Delta)) as analysed in Sec. 5.3; the solver
 // reports the actual state/non-zero/iteration counts so the complexity
 // experiments of Sec. 6.1 can be reproduced.
@@ -27,7 +27,7 @@ struct ApproximationOptions {
   /// Reward discretisation step Delta (charge units).
   double delta = 1.0;
   /// Transient-solver accuracy (truncation error per time increment for
-  /// uniformisation, local-error tolerance for the adaptive stepper).
+  /// uniformisation, local error tolerance for the Krylov engine).
   double epsilon = 1e-10;
   /// Transient engine name; see engine::backend_names().
   std::string engine = "uniformization";
@@ -39,11 +39,6 @@ struct ApproximationOptions {
   /// Steady-state / absorption early termination inside each Poisson
   /// window (uniformisation engines).
   bool steady_state_detection = true;
-  /// "ooc" engine: serialized-size target per streamed tile and the
-  /// spill-file directory (empty selects $TMPDIR, falling back to /tmp);
-  /// forwarded to engine::BackendOptions.  Ignored by other engines.
-  std::size_t tile_bytes = 8ull << 20;
-  std::string spill_dir = "";
   /// State ordering of the expanded chain ("level" / "none", see
   /// core::StateOrdering).  Reordering never changes the solved curve --
   /// it renumbers the states so the gather kernels see uniform row runs
@@ -51,10 +46,6 @@ struct ApproximationOptions {
   /// reads raw distributions.  "none" keeps the natural numbering for
   /// comparison.
   std::string reorder = "level";
-  /// Worker processes of the "sharded" engine (level-banded multi-process
-  /// uniformisation); forwarded to engine::BackendOptions::shards.
-  /// Ignored by the other engines.
-  std::size_t shards = 1;
 };
 
 /// Cost/shape diagnostics of one approximation run: the engine's counters
@@ -69,8 +60,8 @@ struct ApproximationStats : engine::BackendStats {
   /// "none" when the natural numbering was kept).
   std::string reorder = "level";
   /// Always equal to `iterations` (the engine's work unit: DTMC steps for
-  /// uniformisation, RHS evaluations for the adaptive stepper,
-  /// exponentials for dense); the Sec. 6.1 experiments read it under this
+  /// uniformisation, matrix-vector products for krylov, exponentials
+  /// for dense); the Sec. 6.1 experiments read it under this
   /// name.
   std::uint64_t uniformization_iterations = 0;
 };

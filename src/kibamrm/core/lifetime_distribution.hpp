@@ -55,7 +55,7 @@ std::vector<double> uniform_grid(double start, double end, std::size_t points);
 /// Clamps solver round-off out of probability values: entries within
 /// `tolerance` outside [0, 1] are snapped onto the interval; larger
 /// violations indicate a solver bug and throw InvalidArgument.  The
-/// iterative transient engines (uniformisation truncation, adaptive local
+/// iterative transient engines (uniformisation truncation, Krylov local
 /// error) legitimately produce such dust at their tolerance scale.
 void sanitize_probabilities(std::vector<double>& probabilities,
                             double tolerance);

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "kibamrm/linalg/vector_ops.hpp"
+
 namespace kibamrm::engine {
 
 namespace {
@@ -16,27 +18,7 @@ constexpr std::size_t kInlineShardChunks = 16;
 void GatherExecutor::bind(std::shared_ptr<const CachedGatherPlan> plan) {
   if (plan == plan_) return;
   plan_ = std::move(plan);
-  constexpr std::size_t kRows = markov::kDropChunkRows;
-  const std::size_t rows = plan_->rows();
-  const std::size_t chunks = markov::drop_chunk_count(rows);
-  reach_lo_.assign(chunks, chunks);
-  reach_hi_.assign(chunks, 0);
-  work_prefix_.assign(chunks + 1, 0);
-  for (std::size_t r = 0; r < rows; ++r) {
-    const std::size_t c = r / kRows;
-    const std::uint32_t entries = plan_->row_entry_counts[r];
-    work_prefix_[c + 1] += entries + 1;
-    if (entries > 0) {
-      reach_lo_[c] = std::min<std::size_t>(reach_lo_[c],
-                                           plan_->row_col_lo[r] / kRows);
-      reach_hi_[c] = std::max<std::size_t>(reach_hi_[c],
-                                           plan_->row_col_hi[r] / kRows);
-    }
-  }
-  for (std::size_t c = 0; c < chunks; ++c) {
-    work_prefix_[c + 1] += work_prefix_[c];
-  }
-  live_.assign(chunks, 0);
+  live_.assign(plan_->chunk_reach_lo.size(), 0);
   shard_deltas_.assign(4 * (pool_ ? pool_->thread_count() : 1), 0.0);
 }
 
@@ -46,7 +28,13 @@ std::size_t GatherExecutor::chunk_row(std::size_t chunk) const {
 
 void GatherExecutor::load(const std::vector<double>& current, double weight0,
                           double drop_threshold) {
-  VectorStepExecutor::load(current, weight0, drop_threshold);
+  power_ = current;
+  next_.resize(current.size());
+  accum_.assign(current.size(), 0.0);
+  if (weight0 != 0.0) linalg::axpy(weight0, current, accum_);
+  drop_threshold_ = drop_threshold;
+  chunk_dropped_.assign(markov::drop_chunk_count(current.size()), 0.0);
+  rows_iterated_ = 0;
   // next_ still holds whatever the previous increment left in it.
   power_dirty_ = {0, live_.size()};
   next_dirty_ = {0, live_.size()};
@@ -68,9 +56,11 @@ void GatherExecutor::load(const std::vector<double>& current, double weight0,
 
 GatherExecutor::ChunkSpan GatherExecutor::step_span() const {
   if (hull_.begin >= hull_.end) return {};
+  const std::vector<std::size_t>& reach_lo = plan_->chunk_reach_lo;
+  const std::vector<std::size_t>& reach_hi = plan_->chunk_reach_hi;
   ChunkSpan span = hull_;
-  for (std::size_t c = 0; c < reach_lo_.size(); ++c) {
-    if (reach_lo_[c] < hull_.end && reach_hi_[c] >= hull_.begin) {
+  for (std::size_t c = 0; c < reach_lo.size(); ++c) {
+    if (reach_lo[c] < hull_.end && reach_hi[c] >= hull_.begin) {
       span.begin = std::min(span.begin, c);
       span.end = std::max(span.end, c + 1);
     }
@@ -79,9 +69,10 @@ GatherExecutor::ChunkSpan GatherExecutor::step_span() const {
 }
 
 bool GatherExecutor::split(ChunkSpan span) {
+  const std::vector<std::uint64_t>& work_prefix = plan_->chunk_work_prefix;
   bounds_.assign(1, span.begin);
-  const std::uint64_t base = work_prefix_[span.begin];
-  const std::uint64_t work = work_prefix_[span.end] - base;
+  const std::uint64_t base = work_prefix[span.begin];
+  const std::uint64_t work = work_prefix[span.end] - base;
   const std::size_t rows = chunk_row(span.end) - chunk_row(span.begin);
   const std::size_t lanes = pool_ ? pool_->thread_count() : 1;
   const bool use_pool = pool_pays_off(lanes, work - rows, rows);
@@ -91,12 +82,12 @@ bool GatherExecutor::split(ChunkSpan span) {
     for (std::size_t k = 1; k < parts; ++k) {
       const std::uint64_t target = base + work * k / parts;
       const std::size_t edge = static_cast<std::size_t>(
-          std::lower_bound(work_prefix_.begin() +
+          std::lower_bound(work_prefix.begin() +
                                static_cast<std::ptrdiff_t>(bounds_.back() + 1),
-                           work_prefix_.begin() +
+                           work_prefix.begin() +
                                static_cast<std::ptrdiff_t>(span.end),
                            target) -
-          work_prefix_.begin());
+          work_prefix.begin());
       if (edge < span.end) bounds_.push_back(edge);
     }
   } else {
@@ -125,7 +116,7 @@ void GatherExecutor::clear_outside(ChunkSpan span) {
   clear(std::max(next_dirty_.begin, span.end), next_dirty_.end);
 }
 
-double GatherExecutor::step(double weight, bool /*want_delta*/) {
+double GatherExecutor::step(double weight) {
   const ChunkSpan span = step_span();
   clear_outside(span);
   double delta = 0.0;
@@ -166,6 +157,21 @@ double GatherExecutor::step(double weight, bool /*want_delta*/) {
   power_.swap(next_);
   std::swap(power_dirty_, next_dirty_);
   return delta;
+}
+
+void GatherExecutor::fold(double residual) {
+  if (residual > 0.0) linalg::axpy(residual, power_, accum_);
+}
+
+void GatherExecutor::read_back(std::vector<double>& current) {
+  current.swap(accum_);
+}
+
+markov::StepExecutor::IncrementWork GatherExecutor::increment_work() const {
+  IncrementWork work;
+  work.rows_iterated = rows_iterated_;
+  for (const double chunk : chunk_dropped_) work.dropped_mass += chunk;
+  return work;
 }
 
 }  // namespace kibamrm::engine

@@ -21,10 +21,9 @@
 // the drop by one shard while its rows are still in that core's cache.
 // Every row sums in its fixed canonical order, the drop reads one fixed
 // chunk at a time and per-shard deltas reduce by max, so the step is
-// bitwise identical for every lane count and shard partition -- and to
-// the full-sweep executors of the ooc and sharded engines.  Spans whose
-// work lies below the pool-engagement threshold, or steps without a pool,
-// run inline.
+// bitwise identical for every lane count and shard partition.  Spans
+// whose work lies below the pool-engagement threshold, or steps without a
+// pool, run inline.
 #pragma once
 
 #include <cstdint>
@@ -38,7 +37,7 @@
 
 namespace kibamrm::engine {
 
-class GatherExecutor final : public markov::VectorStepExecutor {
+class GatherExecutor final : public markov::StepExecutor {
  public:
   /// `pool` may be null (inline steps); it must outlive the executor.
   explicit GatherExecutor(common::ThreadPool* pool) : pool_(pool) {}
@@ -50,7 +49,10 @@ class GatherExecutor final : public markov::VectorStepExecutor {
 
   void load(const std::vector<double>& current, double weight0,
             double drop_threshold) override;
-  double step(double weight, bool want_delta) override;
+  double step(double weight) override;
+  void fold(double residual) override;
+  void read_back(std::vector<double>& current) override;
+  IncrementWork increment_work() const override;
 
  private:
   /// Chunks [begin, end); empty when begin == end.
@@ -71,13 +73,15 @@ class GatherExecutor final : public markov::VectorStepExecutor {
 
   common::ThreadPool* pool_;
   std::shared_ptr<const CachedGatherPlan> plan_;
-  // Per chunk: the first and last chunk its rows read (reach_lo_ >
-  // reach_hi_ for a chunk without stored entries), and the prefix sum of
-  // stored entries plus rows over the chunks before it (size chunks + 1),
-  // the shard balance weight of plan_gather_shards.
-  std::vector<std::size_t> reach_lo_;
-  std::vector<std::size_t> reach_hi_;
-  std::vector<std::uint64_t> work_prefix_;
+  // Scratch reused across increments and solves: a whole curve allocates
+  // only on its first increment.
+  std::vector<double> power_;
+  std::vector<double> next_;
+  std::vector<double> accum_;
+  // The increment's drop threshold, per-chunk dropped mass and rows.
+  double drop_threshold_ = 0.0;
+  std::vector<double> chunk_dropped_;
+  std::uint64_t rows_iterated_ = 0;
   // Whether each chunk of the latest step's output survived the drop.
   std::vector<std::uint8_t> live_;
   // Live chunks of power_, and where each loop buffer may be non-zero.

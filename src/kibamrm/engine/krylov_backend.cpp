@@ -375,8 +375,7 @@ void KrylovBackend::integrate(
         t_done += attempted;
         ++stats_.substeps;
         // A boundary-clipped accepted step says nothing against the
-        // larger controller step; keep whichever is bigger (the policy
-        // the adaptive backend uses for the same clip).
+        // larger controller step; keep whichever is bigger.
         tau = attempted < tau ? std::max(tau, proposed) : proposed;
         // Adapt the next factorisation's dimension off what this sub-step
         // learned.  The accept test above is untouched, so these moves

@@ -2,10 +2,10 @@
 // with EXPOKIT-style adaptive sub-step splitting (Sidje 1998, dgexpv).
 //
 // The expanded KiBaM chains turn stiff as the recovery/consumption rate
-// ratio and the reward step Delta shrink: the explicit Dormand-Prince
-// stepper's stable step collapses below what any iteration count can
-// cover, and the Fox-Glynn window of uniformisation grows with q t.  The
-// Krylov approximation sidesteps both: per sub-step tau it builds an
+// ratio and the reward step Delta shrink: an explicit stepper's stable
+// step collapses below what any iteration count can cover, and the
+// Fox-Glynn window of uniformisation grows with q t.  The Krylov
+// approximation sidesteps both: per sub-step tau it builds an
 // orthonormal basis V_m of K_m(Q^T, w) (m ~ 30) and computes
 //     exp(tau Q^T) w  ~=  beta V_m exp(tau H_m) e_1,
 // where the small Hessenberg exponential is evaluated exactly (cached

@@ -1,11 +1,25 @@
 #include "kibamrm/engine/plan_cache.hpp"
 
 #include <algorithm>
-#include <cstring>
-
-#include "kibamrm/common/spill_io.hpp"
 
 namespace kibamrm::engine {
+
+namespace {
+
+/// 64-bit FNV-1a over `bytes` bytes starting at `data`; `seed` chains
+/// multi-span hashes (pass the previous digest).
+std::uint64_t fnv1a64(const void* data, std::size_t bytes,
+                      std::uint64_t seed = 0xcbf29ce484222325ull) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  std::uint64_t hash = seed;
+  for (std::size_t i = 0; i < bytes; ++i) {
+    hash ^= p[i];
+    hash *= 0x100000001b3ull;
+  }
+  return hash;
+}
+
+}  // namespace
 
 std::shared_ptr<const CachedGatherPlan> build_cached_gather_plan(
     const linalg::CsrMatrix& generator, double rate,
@@ -21,18 +35,29 @@ std::shared_ptr<const CachedGatherPlan> build_cached_gather_plan(
   const std::size_t n = pt.rows();
   const std::span<const std::uint32_t> row_ptr = pt.row_pointers();
   const std::span<const std::uint32_t> col_idx = pt.column_indices();
-  cached->row_entry_counts.assign(n, 0);
-  cached->row_col_lo.assign(n, 0);
-  cached->row_col_hi.assign(n, 0);
+  constexpr std::size_t kRows = markov::kDropChunkRows;
+  const std::size_t chunks = markov::drop_chunk_count(n);
+  std::vector<std::size_t>& reach_lo = cached->chunk_reach_lo;
+  std::vector<std::size_t>& reach_hi = cached->chunk_reach_hi;
+  std::vector<std::uint64_t>& work_prefix = cached->chunk_work_prefix;
+  reach_lo.assign(chunks, chunks);
+  reach_hi.assign(chunks, 0);
+  work_prefix.assign(chunks + 1, 0);
   for (std::size_t r = 0; r < n; ++r) {
+    const std::size_t c = r / kRows;
     const std::uint32_t entries = row_ptr[r + 1] - row_ptr[r];
-    cached->row_entry_counts[r] = entries;
+    work_prefix[c + 1] += entries + 1;
     if (entries > 0) {
       // CSR columns are sorted: first/last stored column bound the row's
       // gather footprint.
-      cached->row_col_lo[r] = col_idx[row_ptr[r]];
-      cached->row_col_hi[r] = col_idx[row_ptr[r + 1] - 1];
+      reach_lo[c] =
+          std::min<std::size_t>(reach_lo[c], col_idx[row_ptr[r]] / kRows);
+      reach_hi[c] = std::max<std::size_t>(
+          reach_hi[c], col_idx[row_ptr[r + 1] - 1] / kRows);
     }
+  }
+  for (std::size_t c = 0; c < chunks; ++c) {
+    work_prefix[c + 1] += work_prefix[c];
   }
   cached->plan = linalg::FusedGatherPlan::build(pt);
   if (cached->plan) {
@@ -70,12 +95,12 @@ std::uint64_t gather_plan_key(const linalg::CsrMatrix& generator, double rate,
   const std::span<const std::uint32_t> col_idx = generator.column_indices();
   const std::span<const double> values = generator.values();
   const std::uint64_t rows = generator.rows();
-  std::uint64_t key = common::fnv1a64(&rows, sizeof(rows));
-  key = common::fnv1a64(row_ptr.data(), row_ptr.size_bytes(), key);
-  key = common::fnv1a64(col_idx.data(), col_idx.size_bytes(), key);
-  key = common::fnv1a64(values.data(), values.size_bytes(), key);
-  key = common::fnv1a64(&rate, sizeof(rate), key);
-  key = common::fnv1a64(seeds.data(), seeds.size_bytes(), key);
+  std::uint64_t key = fnv1a64(&rows, sizeof(rows));
+  key = fnv1a64(row_ptr.data(), row_ptr.size_bytes(), key);
+  key = fnv1a64(col_idx.data(), col_idx.size_bytes(), key);
+  key = fnv1a64(values.data(), values.size_bytes(), key);
+  key = fnv1a64(&rate, sizeof(rate), key);
+  key = fnv1a64(seeds.data(), seeds.size_bytes(), key);
   return key;
 }
 

@@ -41,13 +41,15 @@ struct CachedGatherPlan {
   /// Sorted reachable closure of the initial support (full-chain state
   /// ids); the loop dimension is reachable.size().
   std::vector<std::uint32_t> reachable;
-  /// Per-row stored-entry counts of the compacted transpose, plus each
-  /// row's first/last stored column -- enough to shard and partition
-  /// without keeping the CSR arrays alive (linalg::ShardPlan and the
-  /// gather shard split both run off these).
-  std::vector<std::uint32_t> row_entry_counts;
-  std::vector<std::uint32_t> row_col_lo;
-  std::vector<std::uint32_t> row_col_hi;
+  /// Per mass-window chunk (markov::kDropChunkRows rows) of the compacted
+  /// transpose: the first and last chunk its rows read (reach_lo >
+  /// reach_hi for a chunk without stored entries), and the prefix sum of
+  /// stored entries plus rows over the chunks before it (size chunks +
+  /// 1).  The gather executor's step span and shard split run off these,
+  /// so they are derived once per plan, not once per solve and lane.
+  std::vector<std::size_t> chunk_reach_lo;
+  std::vector<std::size_t> chunk_reach_hi;
+  std::vector<std::uint64_t> chunk_work_prefix;
   std::uint64_t nonzeros = 0;
   linalg::StructureStats structure;
   /// Compressed kernel plan; nullopt when the chain fits neither layout.
@@ -56,7 +58,7 @@ struct CachedGatherPlan {
   /// compressed layout otherwise replaces it).
   linalg::CsrMatrix transpose{1, 1};
 
-  std::size_t rows() const { return row_entry_counts.size(); }
+  std::size_t rows() const { return reachable.size(); }
 
   /// The fused gather step over rows [begin, end) through `plan`, or the
   /// CSR fallback `transpose` -- bitwise the same arithmetic either way
@@ -83,8 +85,7 @@ struct CachedGatherPlan {
 
 /// Uniformises `generator` at `rate`, compacts to the reachable closure
 /// of `seeds` and builds the gather plan -- the setup block shared by
-/// markov::TransientSolver and the parallel and sharded backends, cache or
-/// no cache.
+/// markov::TransientSolver and the parallel backend, cache or no cache.
 std::shared_ptr<const CachedGatherPlan> build_cached_gather_plan(
     const linalg::CsrMatrix& generator, double rate,
     std::span<const std::uint32_t> seeds);

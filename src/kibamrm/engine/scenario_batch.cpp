@@ -45,9 +45,6 @@ std::vector<ScenarioResult> ScenarioBatch::solve_all(
       // themselves are never materialised.
       .collect_distributions = false,
       .steady_state_detection = options_.steady_state_detection,
-      .tile_bytes = options_.tile_bytes,
-      .spill_dir = options_.spill_dir,
-      .shards = options_.shards,
       .plan_cache = plan_cache};
 
   const core::StateOrdering ordering =
@@ -88,12 +85,6 @@ std::vector<ScenarioResult> ScenarioBatch::solve_all(
           // One stiff scenario must not abort the batch and discard every
           // completed curve; the failure is recorded in place.  Anything
           // other than a solver convergence failure still propagates.
-          result.failed = true;
-          result.failure_reason = error.what();
-        } catch (const IpcError& error) {
-          // A crashed sharded worker fails its scenario the same way: the
-          // coordinator has already reaped the solve's worker processes,
-          // so the lane and the rest of the batch continue unharmed.
           result.failed = true;
           result.failure_reason = error.what();
         }

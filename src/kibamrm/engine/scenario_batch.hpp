@@ -44,8 +44,8 @@ struct Scenario {
 
 /// Outcome of one scenario; `skipped` mirrors the sweep-driver convention:
 /// an engine refusing the chain by design (UnsupportedChainError) is a
-/// skip.  A numerical failure (NumericalError -- e.g. the adaptive
-/// stepper underflowing on one stiff scenario) is isolated per scenario
+/// skip.  A numerical failure (NumericalError -- e.g. a Fox-Glynn
+/// window underflowing on one extreme scenario) is isolated per scenario
 /// as `failed`, so the rest of the batch still returns its curves; only
 /// truly unexpected exceptions propagate out of solve_all().
 struct ScenarioResult {
@@ -97,16 +97,9 @@ struct ScenarioBatchOptions {
   /// Forwarded to the backend: steady-state early termination
   /// (uniformisation engines).
   bool steady_state_detection = true;
-  /// Forwarded to the "ooc" engine of every lane: serialized-size target
-  /// per streamed tile and the spill directory (empty selects $TMPDIR).
-  std::size_t tile_bytes = 8ull << 20;
-  std::string spill_dir = "";
   /// State ordering of every expanded chain ("none" / "level");
   /// see core::ApproximationOptions::reorder.
   std::string reorder = "level";
-  /// Worker processes per solve of the "sharded" engine; forwarded to
-  /// every lane's BackendOptions::shards.  Other engines ignore it.
-  std::size_t shards = 1;
 };
 
 class ScenarioBatch {

@@ -4,13 +4,9 @@
 #include <sstream>
 
 #include "kibamrm/common/error.hpp"
-#include "kibamrm/engine/adaptive_backend.hpp"
 #include "kibamrm/engine/dense_expm_backend.hpp"
 #include "kibamrm/engine/krylov_backend.hpp"
-#include "kibamrm/engine/ooc_backend.hpp"
 #include "kibamrm/engine/parallel_backend.hpp"
-#include "kibamrm/engine/sharded_backend.hpp"
-#include "kibamrm/linalg/shard_plan.hpp"
 
 namespace kibamrm::engine {
 
@@ -27,10 +23,6 @@ std::map<std::string, BackendFactory, std::less<>>& registry() {
          return std::make_unique<ParallelUniformizationBackend>(
              one_lane, "uniformization");
        }},
-      {"adaptive",
-       [](const BackendOptions& options) -> std::unique_ptr<TransientBackend> {
-         return std::make_unique<AdaptiveBackend>(options);
-       }},
       {"dense",
        [](const BackendOptions& options) -> std::unique_ptr<TransientBackend> {
          return std::make_unique<DenseExpmBackend>(options);
@@ -42,14 +34,6 @@ std::map<std::string, BackendFactory, std::less<>>& registry() {
       {"krylov",
        [](const BackendOptions& options) -> std::unique_ptr<TransientBackend> {
          return std::make_unique<KrylovBackend>(options);
-       }},
-      {"ooc",
-       [](const BackendOptions& options) -> std::unique_ptr<TransientBackend> {
-         return std::make_unique<OutOfCoreBackend>(options);
-       }},
-      {"sharded",
-       [](const BackendOptions& options) -> std::unique_ptr<TransientBackend> {
-         return std::make_unique<ShardedBackend>(options);
        }},
   };
   return backends;
@@ -64,20 +48,6 @@ GatherShardPlan plan_gather_shards(const linalg::CsrMatrix& matrix,
   plan.ranges = plan.use_pool
                     ? matrix.balanced_row_ranges(4 * lanes)
                     : std::vector<std::size_t>{0, matrix.rows()};
-  return plan;
-}
-
-GatherShardPlan plan_gather_shards(std::span<const std::uint32_t> row_counts,
-                                   std::uint64_t nonzeros,
-                                   std::size_t row_begin, std::size_t row_end,
-                                   std::size_t lanes) {
-  GatherShardPlan plan;
-  plan.use_pool = pool_pays_off(lanes, nonzeros, row_end - row_begin);
-  plan.ranges =
-      plan.use_pool
-          ? linalg::balanced_count_ranges(row_counts, row_begin, row_end,
-                                          4 * lanes)
-          : std::vector<std::size_t>{row_begin, row_end};
   return plan;
 }
 

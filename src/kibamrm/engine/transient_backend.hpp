@@ -9,11 +9,6 @@
 //
 //   "uniformization"  the "parallel" engine pinned to one lane -- the serial
 //                     production default for the expanded battery chains
-//   "adaptive"        embedded Runge-Kutta (Dormand-Prince 5(4)) with
-//                     adaptive step control on pi' = pi Q -- complements the
-//                     transform solver in core/exact_c1 for small stiff
-//                     chains and for rate regimes where the Poisson window
-//                     grows degenerate
 //   "dense"           dense Pade matrix exponential (linalg/expm) with
 //                     increment caching -- cross-validation oracle for
 //                     chains below a configurable state threshold
@@ -29,28 +24,8 @@
 //                     Krylov subspace with EXPOKIT-style adaptive
 //                     sub-step splitting -- the stiff-chain path: its
 //                     cost scales with how fast the *solution* moves,
-//                     not with the spectral radius that defeats the
-//                     explicit stepper and bloats the Poisson window
-//   "ooc"             the same driver with its step streamed from disk: the
-//                     compacted transposed matrix is encoded band by band
-//                     into a tiled spill file at solve start and streamed
-//                     back per DTMC step through a double-buffered
-//                     prefetch pipeline; it sweeps every row and applies
-//                     the mass window's drop rule after each sweep --
-//                     bitwise identical curves to
-//                     "parallel" at every tile size and thread count, with
-//                     a working set of two tiles plus O(states) vectors
-//   "sharded"         the same driver with its step split across processes:
-//                     a coordinator forks one worker per shard, each owning
-//                     a contiguous level band of the compacted transpose
-//                     cut at mass-window chunk edges (linalg::ShardPlan)
-//                     and applying the drop rule to it; workers run the
-//                     fused gather
-//                     kernels on their band and exchange only the halo
-//                     rows per DTMC step over shared-memory rings
-//                     (common/shm_channel) -- bitwise identical curves
-//                     to "parallel" at every (shard count, thread
-//                     count), with N shards x T threads composing
+//                     not with the spectral radius that bloats the
+//                     Poisson window
 //
 // New backends (GPU, MPI) register through register_backend() without
 // another restructure of the call sites.
@@ -59,7 +34,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -74,9 +48,9 @@ namespace kibamrm::engine {
 class GatherPlanCache;  // engine/plan_cache.hpp
 
 /// Stored entries plus rows below which one gather step costs less than
-/// waking a thread pool; every pool-sharded step (plan_gather_shards, the
-/// in-memory step's mass-window span, the ooc tile sweep) engages the pool
-/// only at or above it.
+/// waking a thread pool; every pool-sharded step (plan_gather_shards and
+/// the uniformisation step's mass-window span) engages the pool only at
+/// or above it.
 inline constexpr std::uint64_t kPoolEngageWork = 16384;
 
 /// The pool-engagement policy: more than one lane and at least
@@ -86,11 +60,11 @@ inline bool pool_pays_off(std::size_t lanes, std::uint64_t nonzeros,
   return lanes > 1 && nonzeros + rows >= kPoolEngageWork;
 }
 
-/// How a pool-sharded gather matvec splits its rows; shared by the krylov
-/// engine and the sharded engine's workers so the engagement threshold and
-/// the oversubscription factor stay tuned in exactly one place.  The
-/// in-memory uniformisation step applies the same policy per step to its
-/// mass-window span, cut at chunk edges (engine/gather_executor.hpp).
+/// How the krylov engine's pool-sharded gather matvec splits its rows.
+/// The uniformisation step applies the same policy per step to its
+/// mass-window span, cut at chunk edges (engine/gather_executor.hpp), so
+/// the engagement threshold and the oversubscription factor stay tuned
+/// in one place.
 struct GatherShardPlan {
   /// False when one lane (or a matrix too small to amortise waking the
   /// pool) makes the inline loop the faster path.
@@ -111,15 +85,6 @@ struct GatherShardPlan {
 GatherShardPlan plan_gather_shards(const linalg::CsrMatrix& matrix,
                                    std::size_t lanes);
 
-/// Same policy from per-row entry counts alone (what the plan cache
-/// retains after the CSR arrays are dropped); `row_begin`/`row_end`
-/// restrict the split to one shard band for the sharded backend's inner
-/// thread ranges.
-GatherShardPlan plan_gather_shards(std::span<const std::uint32_t> row_counts,
-                                   std::uint64_t nonzeros,
-                                   std::size_t row_begin, std::size_t row_end,
-                                   std::size_t lanes);
-
 /// Thrown when a backend cannot solve a given chain *by design* (e.g. the
 /// dense backend refusing a chain above its state limit) -- as opposed to
 /// failing on one.  Sweep drivers catch exactly this to skip a
@@ -133,8 +98,8 @@ class UnsupportedChainError : public InvalidArgument {
 /// backend are ignored (documented per field).
 struct BackendOptions {
   /// Accuracy knob: uniformisation truncation error per time increment,
-  /// or the relative local-error tolerance of the adaptive stepper.  The
-  /// dense backend is accurate to the Pade approximant and ignores it.
+  /// or the Krylov engine's local error tolerance.  The dense backend is
+  /// accurate to the Pade approximant and ignores it.
   double epsilon = 1e-10;
   /// Re-normalise the distribution after every output point to counter
   /// accumulated round-off on long curves.
@@ -167,28 +132,11 @@ struct BackendOptions {
   /// re-stepping.  False pins m = krylov_dim (the fixed-dimension A/B
   /// baseline).  Other backends ignore it.
   bool krylov_adaptive_dim = true;
-  /// Out-of-core backend: serialized-size target per streamed tile of the
-  /// compacted transposed matrix (the "ooc" engine's working set is two
-  /// such tiles plus O(active states) vectors).  Other backends ignore it.
-  std::size_t tile_bytes = 8ull << 20;
-  /// Out-of-core backend: directory for the tile spill file; empty selects
-  /// $TMPDIR (falling back to /tmp).  The file is unlinked while open, so
-  /// it never outlives the solve.  Other backends ignore it.
-  std::string spill_dir = "";
-  /// Sharded backend: worker processes the solve forks, each owning one
-  /// contiguous level band of the compacted transpose.  1 still forks a
-  /// single worker (the full coordinator/worker protocol runs, which is
-  /// what the 1-vs-N shard perf comparison should measure).  With
-  /// `threads` > 1 every worker additionally runs its own pool of that
-  /// many lanes, so shards x threads composes; for this backend
-  /// `threads` == 0 means one lane per worker (auto-detecting inside N
-  /// workers would oversubscribe N-fold).  Other backends ignore it.
-  std::size_t shards = 1;
   /// Optional cross-scenario cache of reachable closures + gather plans
   /// (engine/plan_cache.hpp), shared across the lanes of a ScenarioBatch.
-  /// Null solves build their plan privately.  Honoured by the in-memory
-  /// uniformisation engines ("uniformization", "parallel", "sharded");
-  /// results are bitwise independent of cache hits.
+  /// Null solves build their plan privately.  Honoured by the
+  /// uniformisation engines ("uniformization", "parallel"); results are
+  /// bitwise independent of cache hits.
   std::shared_ptr<GatherPlanCache> plan_cache = nullptr;
 };
 
@@ -197,12 +145,10 @@ struct BackendOptions {
 /// savings and windows for the uniformisation engines, and the iterated
 /// matrix's size and structure for those and the krylov engine (0 where a
 /// backend does not report them).  `iterations` is the backend's work
-/// unit: DTMC steps (= sparse matrix-vector products) for uniformisation,
-/// right-hand-side evaluations for the adaptive stepper, dense
-/// matrix-matrix products for the expm backend.
+/// unit: DTMC steps (= sparse matrix-vector products) for uniformisation
+/// and matrix-vector products for krylov, dense matrix-matrix products
+/// for the expm backend.
 struct BackendStats : markov::TransientStats {
-  /// Adaptive backend: steps whose error estimate forced a retry.
-  std::uint64_t rejected_steps = 0;
   /// Krylov backend: largest Arnoldi subspace dimension used during the
   /// last solve (the configured cap, or less after happy breakdowns on
   /// near-invariant starts); 0 elsewhere.
@@ -218,25 +164,6 @@ struct BackendStats : markov::TransientStats {
   /// Krylov backend: small Hessenberg exponentials evaluated, including
   /// rejected trial steps (each one cached-Pade evaluation); 0 elsewhere.
   std::uint64_t hessenberg_expms = 0;
-  /// Out-of-core backend: tiles in the spill store, tile reads issued
-  /// over the whole solve, reads satisfied by the prefetched back buffer
-  /// or an already-resident tile, total slab bytes streamed from disk,
-  /// and the spill file's on-disk size; 0 for in-memory backends.
-  std::uint64_t ooc_tiles = 0;
-  std::uint64_t ooc_tile_reads = 0;
-  std::uint64_t ooc_prefetch_hits = 0;
-  std::uint64_t ooc_bytes_streamed = 0;
-  std::uint64_t ooc_spill_bytes = 0;
-  /// Sharded backend: worker processes forked, static halo exchange
-  /// volume per DTMC step (8 bytes per halo row summed over every
-  /// pairwise span), nanoseconds workers spent blocked on halo receives
-  /// (summed over workers; the scaling-loss signal) and the band
-  /// nnz imbalance max/mean (1.0 = perfectly balanced).  0 for other
-  /// backends.
-  std::uint64_t shards = 0;
-  std::uint64_t halo_bytes_per_step = 0;
-  std::uint64_t halo_wait_ns = 0;
-  double shard_nnz_imbalance = 0.0;
 };
 
 /// Called with (index, time, distribution) as soon as each requested time
@@ -250,7 +177,7 @@ class TransientBackend {
  public:
   virtual ~TransientBackend() = default;
 
-  /// Registry name of this backend ("uniformization", "adaptive", ...).
+  /// Registry name of this backend ("uniformization", "parallel", ...).
   virtual std::string_view name() const = 0;
 
   /// Computes pi(t) for each t in `times` (sorted ascending, >= 0) starting

@@ -327,34 +327,6 @@ FusedGatherPlan::uniform_segment_spans() const {
   return spans;
 }
 
-void FusedGatherPlan::align_ranges_to_segments(
-    std::vector<std::size_t>& ranges) const {
-  KIBAMRM_REQUIRE(ranges.size() >= 2 && ranges.front() == 0 &&
-                      ranges.back() == rows() &&
-                      std::is_sorted(ranges.begin(), ranges.end()),
-                  "align_ranges_to_segments: not a shard partition");
-  if (segments_.empty()) return;
-  for (std::size_t i = 1; i + 1 < ranges.size(); ++i) {
-    const std::size_t boundary = ranges[i];
-    // Segment that could contain the boundary strictly inside it.
-    const auto it = std::partition_point(
-        segments_.begin(), segments_.end(),
-        [&](const UniformSegment& segment) {
-          return segment.row_begin + segment.row_count <= boundary;
-        });
-    if (it == segments_.end() || it->row_begin >= boundary) continue;
-    const std::size_t begin = it->row_begin;
-    const std::size_t end = it->row_begin + it->row_count;
-    ranges[i] = boundary - begin <= end - boundary ? begin : end;
-  }
-  // Snapping can reorder or collapse neighbouring boundaries; restore a
-  // strictly-increasing partition (fewer shards is fine -- the pool's
-  // dynamic claim absorbs it).
-  std::sort(ranges.begin(), ranges.end());
-  ranges.erase(std::unique(ranges.begin(), ranges.end()), ranges.end());
-  if (ranges.size() < 2) ranges = {0, rows()};
-}
-
 double FusedGatherPlan::fused_range_column_delta(
     const std::vector<double>& x, std::vector<double>& out,
     std::vector<double>& accum, double weight, std::size_t row_begin,

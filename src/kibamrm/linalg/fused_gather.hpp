@@ -93,17 +93,6 @@ class FusedGatherPlan {
   std::vector<std::pair<std::size_t, std::size_t>> uniform_segment_spans()
       const;
 
-  /// Snaps the interior boundaries of a shard partition (ascending,
-  /// ranges.front() == 0, ranges.back() == rows()) to the nearest uniform
-  /// segment edge, deduplicating boundaries that collapse.  A boundary
-  /// inside a segment forces the SIMD segment kernel to take partial
-  /// groups at both shard edges; after snapping, every segment is
-  /// processed whole by exactly one shard.  Bitwise-safe by construction:
-  /// per-row arithmetic is partition-independent, so only load balance
-  /// can change.  No-op for the column-delta layout or when no segments
-  /// exist.
-  void align_ranges_to_segments(std::vector<std::size_t>& ranges) const;
-
   /// Same contract and bitwise-identical result as
   /// CsrMatrix::multiply_fused_range on the source matrix: for rows in
   /// [row_begin, row_end) computes out[row] = dot(row, x), accumulates

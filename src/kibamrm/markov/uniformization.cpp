@@ -61,32 +61,6 @@ void drop_cold_chunks(double* v, std::size_t rows, std::size_t chunk_begin,
   }
 }
 
-void VectorStepExecutor::load(const std::vector<double>& current,
-                              double weight0, double drop_threshold) {
-  power_ = current;
-  next_.resize(current.size());
-  accum_.assign(current.size(), 0.0);
-  if (weight0 != 0.0) linalg::axpy(weight0, current, accum_);
-  drop_threshold_ = drop_threshold;
-  chunk_dropped_.assign(drop_chunk_count(current.size()), 0.0);
-  rows_iterated_ = 0;
-}
-
-StepExecutor::IncrementWork VectorStepExecutor::increment_work() const {
-  IncrementWork work;
-  work.rows_iterated = rows_iterated_;
-  for (const double chunk : chunk_dropped_) work.dropped_mass += chunk;
-  return work;
-}
-
-void VectorStepExecutor::fold(double residual) {
-  if (residual > 0.0) linalg::axpy(residual, power_, accum_);
-}
-
-void VectorStepExecutor::read_back(std::vector<double>& current) {
-  current.swap(accum_);
-}
-
 UniformizationDriver::UniformizationDriver(TransientOptions options)
     : options_(options) {
   KIBAMRM_REQUIRE(options_.epsilon > 0.0 && options_.epsilon < 1.0,
@@ -148,8 +122,7 @@ std::vector<std::vector<double>> UniformizationDriver::run(
       std::uint64_t calm_steps = 0;  // consecutive steps inside the budget
       for (std::uint64_t n = 1; n <= window.right; ++n) {
         const double weight = n >= window.left ? window.weight(n) : 0.0;
-        const bool want_delta = detect && n < window.right;
-        const double delta = executor.step(weight, want_delta);
+        const double delta = executor.step(weight);
         ++stats.iterations;
         // Steady-state / absorption short circuit: once the per-step
         // change can no longer move the result beyond the budget --
@@ -160,10 +133,10 @@ std::vector<std::vector<double>> UniformizationDriver::run(
         // against a transient lull; the bound is strictly more
         // conservative than the usual absolute cut delta <= eps/8 (which
         // measurably overruns the 10 eps agreement budget on the Fig. 8
-        // chains).  Every executor reduces its delta by max, which is
+        // chains).  The executor reduces its delta by max, which is
         // partition-independent, so the decision is identical at every
-        // thread, tile and shard count.
-        if (want_delta &&
+        // lane count.
+        if (detect && n < window.right &&
             static_cast<double>(window.right - n) * delta <= threshold) {
           if (++calm_steps >= 2) {
             double residual = 0.0;  // remaining tail mass, summed directly
@@ -183,9 +156,7 @@ std::vector<std::vector<double>> UniformizationDriver::run(
       const StepExecutor::IncrementWork work = executor.increment_work();
       stats.rows_iterated += work.rows_iterated;
       stats.dropped_mass += work.dropped_mass;
-      if (options_.renormalize) {
-        executor.scale(linalg::normalize_probability(current_));
-      }
+      if (options_.renormalize) linalg::normalize_probability(current_);
       current_time = times[idx];
     }
     if (options_.collect_results || on_point) {

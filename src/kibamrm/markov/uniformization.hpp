@@ -16,10 +16,10 @@
 // owns the Poisson windows (memoised per (lambda, epsilon), so uniform time
 // grids compute one window per curve), the per-step weights, steady-state
 // detection with its residual-tail fold, iteration accounting,
-// renormalisation and point emission.  Engines differ only in how one DTMC
-// step executes -- inline, sharded over a thread pool, streamed from disk
-// tiles or split across worker processes -- which they supply as a
-// StepExecutor.  TransientSolver is the driver plus the inline executor.
+// renormalisation and point emission.  How one DTMC step executes --
+// inline or sharded over a thread pool -- is a StepExecutor
+// (engine::GatherExecutor; the driver tests substitute scripted ones).
+// TransientSolver is the driver plus the inline executor.
 //
 // Mass window.  The probability mass of the expanded battery chains moves
 // as a blob, at most one charge level per step, so most rows of the loop
@@ -31,12 +31,11 @@
 // rows * theta of mass, and a whole increment less than epsilon / 100,
 // by construction; TransientStats::dropped_mass reports what was
 // dropped.  The rule reads one fixed chunk at a time, so it does not
-// depend on how an executor partitions rows: every engine drops the
-// same chunks and stays bitwise identical to the others.  The in-memory
-// executor (engine::GatherExecutor) additionally steps only the hull of
-// the chunks that still carry mass, widened by the matrix's reach, which
-// is where the rule pays: TransientStats::rows_iterated counts the rows
-// actually stepped.  (This is adaptive uniformisation in the sense of
+// depend on how an executor partitions rows: every lane count drops the
+// same chunks and stays bitwise identical to the others.  The executor
+// (engine::GatherExecutor) steps only the hull of the chunks that still
+// carry mass, widened by the matrix's reach, which is where the rule
+// pays: TransientStats::rows_iterated counts the rows actually stepped.  (This is adaptive uniformisation in the sense of
 // van Moorsel & Sanders, 1994, and fast adaptive uniformisation,
 // Dannenberg, Hahn & Kwiatkowska, 2015, with a fixed state space.)
 #pragma once
@@ -125,13 +124,13 @@ struct TransientStats {
   std::uint64_t rows_iterated = 0;
   /// Probability mass the mass window zeroed (see the file comment),
   /// summed per chunk over each increment, then over chunks in chunk
-  /// order, then over increments -- the same bits at every lane, tile and
-  /// shard count.  Below epsilon / 100 per increment by construction.
+  /// order, then over increments -- the same bits at every lane count.
+  /// Below epsilon / 100 per increment by construction.
   double dropped_mass = 0.0;
 };
 
-/// Rows per chunk of the mass window; a constant, so every engine cuts
-/// the loop space identically.
+/// Rows per chunk of the mass window; a constant, so every lane count
+/// cuts the loop space identically.
 inline constexpr std::size_t kDropChunkRows = 512;
 
 /// Chunks covering `rows` loop rows (the last one may be partial).
@@ -180,9 +179,8 @@ class StepExecutor {
 
   /// One DTMC step power <- power * P with accum += weight * power, then
   /// the mass-window drop on the new power vector; returns
-  /// ||power_new - power_old||_inf, taken before the drop.  The driver
-  /// reads the delta only when `want_delta` is set.
-  virtual double step(double weight, bool want_delta) = 0;
+  /// ||power_new - power_old||_inf, taken before the drop.
+  virtual double step(double weight) = 0;
 
   /// Steady state: accum += residual * power, in place of the window's
   /// remaining steps.  Called at most once per increment.
@@ -199,36 +197,9 @@ class StepExecutor {
     double dropped_mass = 0.0;
   };
   virtual IncrementWork increment_work() const = 0;
-
-  /// The driver renormalised `current` by `alpha`; executors that hold the
-  /// distribution elsewhere too apply the same factor there.
-  virtual void scale(double /*alpha*/) {}
 };
 
-/// StepExecutor over in-process power/next/accumulator vectors: concrete
-/// executors add step(), which counts its rows into rows_iterated_ and
-/// drops through drop_cold_chunks(chunk_dropped_).
-class VectorStepExecutor : public StepExecutor {
- public:
-  void load(const std::vector<double>& current, double weight0,
-            double drop_threshold) override;
-  void fold(double residual) override;
-  void read_back(std::vector<double>& current) override;
-  IncrementWork increment_work() const override;
-
- protected:
-  // Scratch reused across increments and solves: a whole curve allocates
-  // only on its first increment.
-  std::vector<double> power_;
-  std::vector<double> next_;
-  std::vector<double> accum_;
-  // The increment's drop threshold, per-chunk dropped mass and rows.
-  double drop_threshold_ = 0.0;
-  std::vector<double> chunk_dropped_;
-  std::uint64_t rows_iterated_ = 0;
-};
-
-/// The one uniformisation loop behind every engine (see the file comment).
+/// The one uniformisation loop (see the file comment).
 class UniformizationDriver {
  public:
   /// Throws InvalidArgument unless options.epsilon lies in (0, 1).

@@ -53,8 +53,7 @@ void exercise(const std::vector<std::string>& tokens) {
     args.get("out", "");
     args.has("batch");
     args.get_choice("engine", "uniformization",
-                    {"uniformization", "parallel", "adaptive", "dense",
-                     "krylov"});
+                    {"uniformization", "parallel", "dense", "krylov"});
     args.get_choice("reorder", "level", {"none", "level"});
     args.declare("delta")
         .declare("points")

@@ -11,8 +11,7 @@
 //                    the structure of the expanded battery chains (the
 //                    j1 = 0 layer) and the identity-row fast paths
 //   kStiff           rates spread over up to 8 decades -- the Poisson
-//                    window blow-up, the adaptive stepper's step control,
-//                    and the Krylov sub-step splitting
+//                    window blow-up and the Krylov sub-step splitting
 //   kNearDegenerate  two internally-fast blocks coupled by ~1e-9-relative
 //                    rates -- near-reducible spectra, the hard case for
 //                    steady-state detection and for expm conditioning

@@ -188,81 +188,6 @@ TEST(Determinism, ScenarioBitwiseAcrossThreadsAndTiersPerOrdering) {
       });
 }
 
-TEST(Determinism, OocBackendBitwiseAcrossTileSizesAndThreads) {
-  // The out-of-core stream adds two more axes the bits must survive: the
-  // tile partition of the spill file and the IO/compute pipeline's lane
-  // count.  Every (tile_bytes, threads) combination must reproduce the
-  // in-memory parallel backend's single-thread result exactly -- tiny
-  // tiles force genuinely multi-tile streams on these small chains.
-  CtmcGenOptions options;
-  options.family = CtmcFamily::kErgodic;
-  options.min_states = 60;
-  options.max_states = 160;
-  options.max_time_points = 2;
-  options.max_rate_time_product = 250.0;
-  check<CtmcCase>(
-      "OocBitwiseAcrossTilesAndThreads", ctmc_gen(options),
-      [](const CtmcCase& value) {
-        const markov::Ctmc chain = value.chain();
-        auto reference = engine::make_backend("parallel", {.threads = 1});
-        const auto baseline =
-            reference->solve(chain, value.initial, value.times);
-        for (const std::size_t tile_bytes :
-             {std::size_t{4096}, std::size_t{1} << 20}) {
-          for (const std::size_t threads : {std::size_t{1},
-                                            std::size_t{2}}) {
-            auto backend = engine::make_backend(
-                "ooc", {.threads = threads, .tile_bytes = tile_bytes});
-            const auto run =
-                backend->solve(chain, value.initial, value.times);
-            Verdict verdict = bitwise_equal(
-                baseline, run,
-                "ooc tile_bytes=" + std::to_string(tile_bytes) +
-                    " threads=" + std::to_string(threads));
-            if (!verdict.ok) return verdict;
-          }
-        }
-        return Verdict::pass();
-      });
-}
-
-TEST(Determinism, ShardedBitwiseAcrossShardCounts) {
-  // The multi-process axis: the sharded backend forks workers that
-  // exchange halo rows per DTMC step, and any shard count must reproduce
-  // the in-process parallel backend's single-thread result exactly --
-  // the band partition and the exchange schedule move work between
-  // processes, never a bit of the arithmetic.  Shards x inner threads
-  // are both varied so the per-worker pool split is covered too.
-  CtmcGenOptions options;
-  options.family = CtmcFamily::kErgodic;
-  options.min_states = 60;
-  options.max_states = 160;
-  options.max_time_points = 2;
-  options.max_rate_time_product = 250.0;
-  check<CtmcCase>(
-      "ShardedBitwiseAcrossShards", ctmc_gen(options),
-      [](const CtmcCase& value) {
-        const markov::Ctmc chain = value.chain();
-        auto reference = engine::make_backend("parallel", {.threads = 1});
-        const auto baseline =
-            reference->solve(chain, value.initial, value.times);
-        for (const std::size_t shards :
-             {std::size_t{1}, std::size_t{2}, std::size_t{3}}) {
-          const std::size_t threads = shards == 2 ? 2 : 1;
-          auto backend = engine::make_backend(
-              "sharded", {.threads = threads, .shards = shards});
-          const auto run =
-              backend->solve(chain, value.initial, value.times);
-          Verdict verdict = bitwise_equal(
-              baseline, run,
-              "sharded shards=" + std::to_string(shards) +
-                  " threads=" + std::to_string(threads));
-          if (!verdict.ok) return verdict;
-        }
-        return Verdict::pass();
-      });
-}
-
 TEST(Determinism, RepeatedSolveIsBitwiseStable) {
   // Run-to-run determinism of one configuration (the cheapest and most
   // load-bearing form: caches warmed by the first solve must not change

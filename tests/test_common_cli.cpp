@@ -160,14 +160,14 @@ TEST(CliArgs, ValidateRejectsUnknownOption) {
 TEST(CliArgs, GetChoiceReturnsAllowedValue) {
   const CliArgs args = parse({"p", "--engine", "dense"});
   EXPECT_EQ(args.get_choice("engine", "uniformization",
-                            {"adaptive", "dense", "uniformization"}),
+                            {"dense", "parallel", "uniformization"}),
             "dense");
 }
 
 TEST(CliArgs, GetChoiceFallsBackWhenAbsent) {
   const CliArgs args = parse({"p"});
   EXPECT_EQ(args.get_choice("engine", "uniformization",
-                            {"adaptive", "dense", "uniformization"}),
+                            {"dense", "parallel", "uniformization"}),
             "uniformization");
 }
 
@@ -176,46 +176,20 @@ TEST(CliArgs, GetChoicePresentWithoutValueThrows) {
   // valueless; a malformed selection must not silently run the fallback.
   const CliArgs args = parse({"p", "--engine", "--full"});
   EXPECT_THROW(args.get_choice("engine", "uniformization",
-                               {"adaptive", "dense", "uniformization"}),
+                               {"dense", "parallel", "uniformization"}),
                InvalidArgument);
-}
-
-TEST(CliArgs, GetDirectoryAcceptsExistingDirectory) {
-  const CliArgs args = parse({"p", "--spill-dir", "/tmp"});
-  EXPECT_EQ(args.get_directory("spill-dir", ""), "/tmp");
-}
-
-TEST(CliArgs, GetDirectoryFallbackExemptFromExistence) {
-  // The "" fallback means "use $TMPDIR" downstream; it must pass through
-  // unvalidated, like get_positive_int's sentinel fallbacks.
-  const CliArgs args = parse({"p"});
-  EXPECT_EQ(args.get_directory("spill-dir", ""), "");
-}
-
-TEST(CliArgs, GetDirectoryRejectsMissingPathAndFiles) {
-  const CliArgs args =
-      parse({"p", "--spill-dir", "/nonexistent/kibamrm-test-dir"});
-  EXPECT_THROW(args.get_directory("spill-dir", ""), InvalidArgument);
-  // A regular file is not a directory either.
-  const CliArgs file_args = parse({"p", "--spill-dir", "/proc/self/status"});
-  EXPECT_THROW(file_args.get_directory("spill-dir", ""), InvalidArgument);
-}
-
-TEST(CliArgs, GetDirectoryPresentWithoutValueThrows) {
-  const CliArgs args = parse({"p", "--spill-dir", "--full"});
-  EXPECT_THROW(args.get_directory("spill-dir", ""), InvalidArgument);
 }
 
 TEST(CliArgs, GetChoiceRejectsUnknownValueListingChoices) {
   const CliArgs args = parse({"p", "--engine", "krylov"});
   try {
     args.get_choice("engine", "uniformization",
-                    {"adaptive", "dense", "uniformization"});
+                    {"dense", "parallel", "uniformization"});
     FAIL() << "expected InvalidArgument";
   } catch (const InvalidArgument& error) {
     const std::string what = error.what();
     EXPECT_NE(what.find("krylov"), std::string::npos);
-    EXPECT_NE(what.find("adaptive"), std::string::npos);
+    EXPECT_NE(what.find("parallel"), std::string::npos);
   }
 }
 

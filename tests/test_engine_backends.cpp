@@ -1,5 +1,5 @@
 // Tests for the pluggable transient-engine layer: registry behaviour and
-// numerical equivalence of the three built-in backends on battery chains.
+// numerical equivalence of the built-in backends on battery chains.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,7 +17,7 @@
 namespace kibamrm::engine {
 namespace {
 
-const std::vector<std::string> kBuiltins = {"adaptive", "dense", "krylov",
+const std::vector<std::string> kBuiltins = {"dense", "krylov",
                                             "uniformization"};
 
 // Small, fast single-well model: capacity 60, current 1, rates of order 1.
@@ -43,12 +43,15 @@ core::KibamRmModel fig8_kibam() {
 }
 
 TEST(EngineRegistry, BuiltinsRegistered) {
-  const auto names = backend_names();
-  for (const std::string& name : kBuiltins) {
-    EXPECT_TRUE(is_backend_name(name)) << name;
-    EXPECT_NE(std::find(names.begin(), names.end(), name), names.end());
+  std::vector<std::string> names = backend_names();
+  // Other tests in this binary may register their own engines.
+  std::erase(names, "custom-for-test");
+  EXPECT_EQ(names, (std::vector<std::string>{"dense", "krylov", "parallel",
+                                             "uniformization"}));
+  for (const char* removed : {"adaptive", "ooc", "sharded"}) {
+    EXPECT_FALSE(is_backend_name(removed)) << removed;
+    EXPECT_THROW(make_backend(removed), InvalidArgument) << removed;
   }
-  EXPECT_TRUE(is_backend_name("sharded"));
   EXPECT_FALSE(is_backend_name("gpu"));
 }
 
@@ -177,20 +180,6 @@ TEST(EngineBackends, CollectDistributionsOffReturnsEmpty) {
     EXPECT_TRUE(results.empty()) << name;
     EXPECT_EQ(points_seen, 2u) << name;
   }
-}
-
-TEST(EngineBackends, AdaptiveReportsRejectionsOnStiffChain) {
-  // A chain with a 1e4 rate spread forces the explicit stepper to shrink
-  // its step at least once.
-  const markov::Ctmc chain = markov::ctmc_from_rates(
-      {{0.0, 1e4, 0.0}, {0.0, 0.0, 1.0}, {0.5, 0.0, 0.0}});
-  auto backend = make_backend("adaptive");
-  backend->solve(chain, {1.0, 0.0, 0.0}, {5.0});
-  const auto& stats = backend->last_stats();
-  EXPECT_GT(stats.iterations, 10u);
-  // rejected_steps is informational; just check the counter exists and is
-  // consistent (rejections never exceed RHS evaluations).
-  EXPECT_LE(stats.rejected_steps, stats.iterations);
 }
 
 TEST(EngineBackends, OneShotHelperSelectsEngine) {

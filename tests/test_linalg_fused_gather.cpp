@@ -122,20 +122,6 @@ TEST(FusedGatherPlan, BitwiseMatchesCsrKernel) {
   EXPECT_EQ(delta_plan, delta_csr);
 }
 
-TEST(FusedGatherPlan, RangesComposeBitwise) {
-  const CsrMatrix pt = banded(211).transposed();
-  const auto plan = FusedGatherPlan::build(pt);
-  ASSERT_TRUE(plan.has_value());
-  const std::vector<double> x = random_vector(211, 5);
-  std::vector<double> out_full(211, 0.0), accum_full(211, 0.0);
-  plan->multiply_fused_range(x, out_full, accum_full, 1.0, 0, 211);
-  std::vector<double> out(211, 0.0), accum(211, 0.0);
-  plan->multiply_fused_range(x, out, accum, 1.0, 100, 211);  // out of order
-  plan->multiply_fused_range(x, out, accum, 1.0, 0, 100);
-  EXPECT_EQ(out, out_full);
-  EXPECT_EQ(accum, accum_full);
-}
-
 // Constant three-point stencil with a pattern break every `period` rows
 // (an extra entry), so the plan finds many uniform segments separated by
 // single irregular rows -- the shape a banded battery chain takes.
@@ -160,6 +146,43 @@ CsrMatrix stencil_with_breaks(std::size_t n, std::size_t period) {
   return builder.build();
 }
 
+TEST(FusedGatherPlan, RangesComposeBitwise) {
+  const CsrMatrix pt = banded(211).transposed();
+  const auto plan = FusedGatherPlan::build(pt);
+  ASSERT_TRUE(plan.has_value());
+  const std::vector<double> x = random_vector(211, 5);
+  std::vector<double> out_full(211, 0.0), accum_full(211, 0.0);
+  plan->multiply_fused_range(x, out_full, accum_full, 1.0, 0, 211);
+  std::vector<double> out(211, 0.0), accum(211, 0.0);
+  plan->multiply_fused_range(x, out, accum, 1.0, 100, 211);  // out of order
+  plan->multiply_fused_range(x, out, accum, 1.0, 0, 100);
+  EXPECT_EQ(out, out_full);
+  EXPECT_EQ(accum, accum_full);
+
+  // A segment-rich chain cut by an arbitrary partition: cuts inside
+  // uniform segments force partial segment groups at both edges, and the
+  // pieces still compose to the full-range result bit for bit.
+  const CsrMatrix stencil = stencil_with_breaks(509, 50).transposed();
+  const auto segmented = FusedGatherPlan::build(stencil);
+  ASSERT_TRUE(segmented.has_value());
+  ASSERT_FALSE(segmented->uniform_segment_spans().empty());
+  const std::vector<std::size_t> ranges = {0, 97, 222, 351, 509};
+  const std::vector<double> y = random_vector(509, 6);
+  std::vector<double> y_out_full(509, 0.0), y_accum_full(509, 0.0);
+  const double delta_full = segmented->multiply_fused_range(
+      y, y_out_full, y_accum_full, 0.625, 0, 509);
+  std::vector<double> y_out(509, 0.0), y_accum(509, 0.0);
+  double delta = 0.0;
+  for (std::size_t i = 0; i + 1 < ranges.size(); ++i) {
+    delta = std::max(delta, segmented->multiply_fused_range(
+                                y, y_out, y_accum, 0.625, ranges[i],
+                                ranges[i + 1]));
+  }
+  EXPECT_EQ(y_out, y_out_full);
+  EXPECT_EQ(y_accum, y_accum_full);
+  EXPECT_EQ(delta, delta_full);
+}
+
 TEST(FusedGatherPlan, SegmentSpansAreOrderedUniformRuns) {
   const CsrMatrix pt = stencil_with_breaks(211, 50).transposed();
   const auto plan = FusedGatherPlan::build(pt);
@@ -175,50 +198,6 @@ TEST(FusedGatherPlan, SegmentSpansAreOrderedUniformRuns) {
     EXPECT_LE(end, plan->rows());
     cursor = end;
   }
-}
-
-TEST(FusedGatherPlan, AlignRangesSnapsToSegmentEdgesBitwise) {
-  const CsrMatrix pt = stencil_with_breaks(509, 50).transposed();
-  const auto plan = FusedGatherPlan::build(pt);
-  ASSERT_TRUE(plan.has_value());
-  ASSERT_FALSE(plan->uniform_segment_spans().empty());
-  // An arbitrary unaligned partition; after alignment no interior
-  // boundary may sit strictly inside a uniform segment (it either snapped
-  // to a segment edge or already lay in an irregular gap), and the whole
-  // thing must remain a strictly ascending partition of [0, rows).
-  std::vector<std::size_t> ranges = {0, 97, 222, 351, 509};
-  plan->align_ranges_to_segments(ranges);
-  ASSERT_GE(ranges.size(), 2u);
-  EXPECT_EQ(ranges.front(), 0u);
-  EXPECT_EQ(ranges.back(), plan->rows());
-  const auto spans = plan->uniform_segment_spans();
-  for (std::size_t i = 0; i + 1 < ranges.size(); ++i) {
-    EXPECT_LT(ranges[i], ranges[i + 1]);
-    if (i == 0) continue;
-    for (const auto& [begin, end] : spans) {
-      EXPECT_FALSE(begin < ranges[i] && ranges[i] < end)
-          << "boundary " << ranges[i] << " splits segment [" << begin
-          << ", " << end << ")";
-    }
-  }
-
-  // Aligned shards still compose to the full-range result bit for bit
-  // (alignment is an optimisation for the segment-run kernel, never a
-  // semantic change).
-  const std::vector<double> x = random_vector(509, 6);
-  std::vector<double> out_full(509, 0.0), accum_full(509, 0.0);
-  const double delta_full =
-      plan->multiply_fused_range(x, out_full, accum_full, 0.625, 0, 509);
-  std::vector<double> out(509, 0.0), accum(509, 0.0);
-  double delta = 0.0;
-  for (std::size_t i = 0; i + 1 < ranges.size(); ++i) {
-    delta = std::max(delta, plan->multiply_fused_range(
-                                x, out, accum, 0.625, ranges[i],
-                                ranges[i + 1]));
-  }
-  EXPECT_EQ(out, out_full);
-  EXPECT_EQ(accum, accum_full);
-  EXPECT_EQ(delta, delta_full);
 }
 
 TEST(FusedGatherPlan, WideOffsetsFallBackToColumnDelta) {

@@ -302,7 +302,7 @@ class ScriptedExecutor final : public StepExecutor {
     ++loads;
     thresholds.push_back(threshold);
   }
-  double step(double, bool) override {
+  double step(double) override {
     const double delta = steps < deltas_.size() ? deltas_[steps] : 1.0;
     ++steps;
     return delta;
@@ -390,9 +390,7 @@ class RecordingExecutor final : public StepExecutor {
     inner_.load(current, weight0, threshold);
     thresholds.push_back(threshold);
   }
-  double step(double weight, bool want_delta) override {
-    return inner_.step(weight, want_delta);
-  }
+  double step(double weight) override { return inner_.step(weight); }
   void fold(double residual) override { inner_.fold(residual); }
   void read_back(std::vector<double>& current) override {
     inner_.read_back(current);

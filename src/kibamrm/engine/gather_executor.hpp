@@ -7,17 +7,16 @@
 // (markov::kDropChunkRows).  After every step each chunk whose entries
 // all fall below the increment's threshold is zeroed (the drop rule of
 // markov::drop_cold_chunks), so the power vector is exactly zero outside
-// the hull of its live chunks.  A row of the compacted transpose reads
-// only the columns in [row_col_lo, row_col_hi], so the next power vector
-// can be non-zero only on chunks whose column reach meets that hull:
-// each step iterates just that span, and rows outside it stay exactly
-// zero in both loop buffers -- the values a full sweep would compute
-// there.
+// the hull of its live chunks.  The next power vector can be non-zero
+// only on chunks whose column reach meets that hull (ChunkWindow::widen,
+// engine/chunk_window.hpp): each step iterates just that span, and rows
+// outside it stay exactly zero in both loop buffers -- the values a full
+// sweep would compute there.
 //
 // Each output entry of the gather is one row of the compacted transpose of
 // P, so disjoint row ranges write disjoint outputs and need no
 // synchronisation.  Every step re-splits its span into nnz-balanced
-// shards cut at chunk edges, so each chunk is stepped and then tested for
+// shards cut at chunk edges (ChunkWindow::split), so each chunk is stepped and then tested for
 // the drop by one shard while its rows are still in that core's cache.
 // Every row sums in its fixed canonical order, the drop reads one fixed
 // chunk at a time and per-shard deltas reduce by max, so the step is
@@ -31,6 +30,7 @@
 #include <vector>
 
 #include "kibamrm/common/thread_pool.hpp"
+#include "kibamrm/engine/chunk_window.hpp"
 #include "kibamrm/engine/plan_cache.hpp"
 #include "kibamrm/engine/transient_backend.hpp"
 #include "kibamrm/markov/uniformization.hpp"
@@ -55,22 +55,6 @@ class GatherExecutor final : public markov::StepExecutor {
   IncrementWork increment_work() const override;
 
  private:
-  /// Chunks [begin, end); empty when begin == end.
-  struct ChunkSpan {
-    std::size_t begin = 0;
-    std::size_t end = 0;
-  };
-
-  std::size_t chunk_row(std::size_t chunk) const;
-  /// The chunks this step must iterate: every chunk whose rows read a
-  /// column inside the live hull, plus the hull itself.
-  ChunkSpan step_span() const;
-  /// Cuts `span` into shards at chunk edges (bounds_), nnz-balanced, and
-  /// returns whether the pool runs them.
-  bool split(ChunkSpan span);
-  /// Zeroes the rows of next_ inside next_dirty_ but outside `span`.
-  void clear_outside(ChunkSpan span);
-
   common::ThreadPool* pool_;
   std::shared_ptr<const CachedGatherPlan> plan_;
   // Scratch reused across increments and solves: a whole curve allocates

@@ -5,6 +5,7 @@
 #include <numbers>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "kibamrm/common/error.hpp"
 #include "kibamrm/linalg/arnoldi.hpp"
@@ -12,6 +13,7 @@
 #include "kibamrm/linalg/kernels.hpp"
 #include "kibamrm/linalg/permutation.hpp"
 #include "kibamrm/linalg/vector_ops.hpp"
+#include "kibamrm/markov/uniformization.hpp"
 
 namespace kibamrm::engine {
 
@@ -145,26 +147,38 @@ std::vector<std::vector<double>> KrylovBackend::solve(
   // this solve, like the controller step.
   current_m_ = m_cap_;
 
-  shards_ = plan_gather_shards(qt, pool_->thread_count());
+  window_ = ChunkWindow(qt);
   const auto matvec = [&](const std::vector<double>& in,
-                          std::vector<double>& out) {
-    if (shards_.use_pool) {
-      pool_->parallel_for(shards_.shard_count(),
+                          std::vector<double>& out, linalg::RowSpan rows) {
+    const ChunkSpan chunks{rows.begin / markov::kDropChunkRows,
+                           markov::drop_chunk_count(rows.end)};
+    if (window_.split(chunks, pool_->thread_count(), bounds_)) {
+      pool_->parallel_for(bounds_.size() - 1,
                           [&](std::size_t shard, std::size_t /*lane*/) {
-                            qt.multiply_range(in, out, shards_.ranges[shard],
-                                              shards_.ranges[shard + 1]);
+                            qt.multiply_range(in, out,
+                                              window_.row(bounds_[shard]),
+                                              window_.row(bounds_[shard + 1]));
                           });
     } else {
-      qt.multiply_range(in, out, 0, n);
+      qt.multiply_range(in, out, rows.begin, rows.end);
     }
     ++stats_.iterations;
+    stats_.rows_iterated += rows.end - rows.begin;
   };
 
+  const std::size_t chunks = window_.chunks();
   basis_.resize(m_cap_ + 1);
   for (auto& vector : basis_) vector.assign(n, 0.0);
+  basis_dirty_.assign(m_cap_ + 1, ChunkSpan{});
+  spans_.assign(m_cap_ + 2, ChunkSpan{});
+  row_spans_.assign(m_cap_ + 2, linalg::RowSpan{});
   hess_ = linalg::DenseReal(m_cap_ + 1, m_cap_);
   residual_.assign(n, 0.0);
+  residual_dirty_ = {};
   stepped_.assign(n, 0.0);
+  stepped_dirty_ = {};
+  live_.assign(chunks, 0);
+  chunk_dropped_.assign(chunks, 0.0);
   previous_tau_ = 0.0;
 
   std::vector<std::vector<double>> results;
@@ -211,10 +225,9 @@ std::vector<std::vector<double>> KrylovBackend::solve(
   return results;
 }
 
-void KrylovBackend::integrate(
-    const std::function<void(const std::vector<double>&,
-                             std::vector<double>&)>& matvec,
-    std::vector<double>& state, double dt, double anorm) {
+void KrylovBackend::integrate(const linalg::ArnoldiSpanMatvec& matvec,
+                              std::vector<double>& state, double dt,
+                              double anorm) {
   // Error budget per unit time: accepted sub-steps charge err <= tau * tol
   // so the whole increment stays within `epsilon` -- the same per-increment
   // contract the uniformisation engines honour.
@@ -228,6 +241,12 @@ void KrylovBackend::integrate(
 
   double beta = l2_norm(state);
   if (beta == 0.0) return;
+  // The window opens on every chunk holding a non-zero entry: the drop
+  // applies only after sub-steps.  Each accepted sub-step's drop adds its
+  // mass per chunk here; the increment then sums the chunks in order.
+  hull_ = nonzero_hull(state);
+  state_dirty_ = hull_;
+  std::fill(chunk_dropped_.begin(), chunk_dropped_.end(), 0.0);
 
   double tau;
   if (previous_tau_ > 0.0) {
@@ -264,13 +283,26 @@ void KrylovBackend::integrate(
     // sub-steps, see below); the controller exponents follow it.
     const std::size_t m = current_m_;
 
-    beta = l2_norm(state);
-    if (beta == 0.0) return;
-    basis_[0] = state;
-    linalg::scale(basis_[0], 1.0 / beta);
+    if (hull_.empty()) break;
+    plan_spans(m);
+    beta = span_norm(state, hull_);
+    if (beta == 0.0) break;
+    // Each basis buffer is cleared outside its span (and only where it
+    // may still hold an earlier factorisation's entries), so the windowed
+    // Arnoldi below sees exactly zero tails.
+    for (std::size_t j = 0; j <= m; ++j) {
+      window_.clear_outside(basis_[j], basis_dirty_[j], spans_[j]);
+      basis_dirty_[j] = spans_[j];
+    }
+    const linalg::RowSpan start = row_spans_[0];
+    std::copy(state.begin() + static_cast<std::ptrdiff_t>(start.begin),
+              state.begin() + static_cast<std::ptrdiff_t>(start.end),
+              basis_[0].begin() + static_cast<std::ptrdiff_t>(start.begin));
+    linalg::kernels::scale(basis_[0].data() + start.begin, 1.0 / beta,
+                           start.end - start.begin);
     const linalg::ArnoldiResult arn = linalg::arnoldi(
-        matvec, basis_, hess_, m, kBreakdownRelative, pool_.get(),
-        &arnoldi_ws_);
+        matvec, row_spans_, basis_, hess_, m, kBreakdownRelative,
+        pool_.get(), &arnoldi_ws_);
     stats_.krylov_dim = std::max<std::uint64_t>(stats_.krylov_dim, arn.dim);
     stats_.krylov_ortho_work +=
         static_cast<std::uint64_t>(arn.dim) * arn.dim;
@@ -291,8 +323,10 @@ void KrylovBackend::integrate(
       cache.emplace(hk);
     } else {
       cache.emplace(augmented_hessenberg(hess_, m));
-      matvec(basis_[m], residual_);
-      avnorm = l2_norm(residual_);
+      window_.clear_outside(residual_, residual_dirty_, spans_[m + 1]);
+      residual_dirty_ = spans_[m + 1];
+      matvec(basis_[m], residual_, row_spans_[m + 1]);
+      avnorm = span_norm(residual_, spans_[m + 1]);
     }
 
     std::size_t rejections = 0;
@@ -327,25 +361,32 @@ void KrylovBackend::integrate(
       if (accepted) {
         // Tentatively build the step: EXPOKIT's corrected scheme spends
         // one more column than the plain projection -- F(m+1,1) pairs
-        // with v_{m+1}.  Combined on the matvec's row shards: each element
-        // sums its columns in j order whatever the partition, so the
-        // result is bitwise that of a serial sweep.
+        // with v_{m+1}.  Every column is zero outside the span of the
+        // last one, so the combine runs there, on the matvec's row
+        // shards: each element sums its columns in j order whatever the
+        // partition, so the result is bitwise that of a serial sweep.
         const std::size_t columns = arn.happy_breakdown ? k : m + 1;
-        const auto combine = [&](std::size_t begin, std::size_t end) {
-          std::fill(stepped_.begin() + begin, stepped_.begin() + end, 0.0);
+        const ChunkSpan span = spans_[columns - 1];
+        window_.clear_outside(stepped_, stepped_dirty_, span);
+        stepped_dirty_ = span;
+        const auto combine = [&](std::size_t c0, std::size_t c1) {
+          const std::size_t begin = window_.row(c0);
+          const std::size_t end = window_.row(c1);
+          std::fill(stepped_.begin() + static_cast<std::ptrdiff_t>(begin),
+                    stepped_.begin() + static_cast<std::ptrdiff_t>(end),
+                    0.0);
           for (std::size_t j = 0; j < columns; ++j) {
             linalg::kernels::axpy(beta * f(j, 0), basis_[j].data() + begin,
                                   stepped_.data() + begin, end - begin);
           }
         };
-        if (shards_.use_pool) {
-          pool_->parallel_for(shards_.shard_count(),
+        if (window_.split(span, pool_->thread_count(), bounds_)) {
+          pool_->parallel_for(bounds_.size() - 1,
                               [&](std::size_t shard, std::size_t /*lane*/) {
-                                combine(shards_.ranges[shard],
-                                        shards_.ranges[shard + 1]);
+                                combine(bounds_[shard], bounds_[shard + 1]);
                               });
         } else {
-          combine(0, stepped_.size());
+          combine(span.begin, span.end);
         }
         // Mass handling: columns of Q^T sum to zero, so the true flow
         // preserves sum(w) exactly.  The Krylov step does not inherit
@@ -361,7 +402,10 @@ void KrylovBackend::integrate(
         const double drift = std::abs(stepped_mass - target_mass);
         if (drift <= kMassBlowup * std::abs(target_mass)) {
           if (drift > 0.0) {
-            linalg::scale(stepped_, target_mass / stepped_mass);
+            const std::size_t begin = window_.row(span.begin);
+            linalg::kernels::scale(stepped_.data() + begin,
+                                   target_mass / stepped_mass,
+                                   window_.row(span.end) - begin);
           }
         } else {
           accepted = false;
@@ -371,6 +415,18 @@ void KrylovBackend::integrate(
 
       if (accepted) {
         state.swap(stepped_);
+        std::swap(state_dirty_, stepped_dirty_);
+        // The mass window: zero the state's cold chunks (at most
+        // rows * theta of mass per sub-step, so under epsilon / 100 over
+        // the increment) and re-open the hull on the live ones.
+        const ChunkSpan stepped_span = state_dirty_;
+        const double theta =
+            options_.epsilon * attempted /
+            (100.0 * dt * static_cast<double>(state.size()));
+        markov::drop_cold_chunks(state.data(), state.size(),
+                                 stepped_span.begin, stepped_span.end, theta,
+                                 chunk_dropped_.data(), live_.data());
+        hull_ = live_hull(live_, stepped_span);
         // kibamrm-lint: allow(reduction-contract) sequential time-marching sum; step sizes arrive one at a time, order is the control flow itself
         t_done += attempted;
         ++stats_.substeps;
@@ -413,6 +469,32 @@ void KrylovBackend::integrate(
     }
   }
   previous_tau_ = tau;
+  for (const double chunk : chunk_dropped_) stats_.dropped_mass += chunk;
+}
+
+void KrylovBackend::plan_spans(std::size_t m) {
+  spans_[0] = hull_;
+  for (std::size_t j = 0; j <= m; ++j) {
+    spans_[j + 1] = window_.widen(spans_[j]);
+  }
+  for (std::size_t j = 0; j <= m + 1; ++j) {
+    row_spans_[j] = {window_.row(spans_[j].begin),
+                     window_.row(spans_[j].end)};
+  }
+}
+
+double KrylovBackend::span_norm(const std::vector<double>& v,
+                                ChunkSpan span) {
+  // The block partials outside the span are the exact zeros a full sweep
+  // would compute, and the reduction runs the full-length tree.
+  norm_partials_.assign(linalg::kernels::block_count(v.size()), 0.0);
+  linalg::kernels::dot_blocks(
+      v.data(), v.data(), v.size(),
+      window_.row(span.begin) / linalg::kernels::kBlockDoubles,
+      linalg::kernels::block_count(window_.row(span.end)),
+      norm_partials_.data());
+  return std::sqrt(linalg::kernels::reduce_pairwise(norm_partials_.data(),
+                                                    norm_partials_.size()));
 }
 
 std::size_t KrylovBackend::shallowest_passing_dim(std::size_t m, double beta,

@@ -29,12 +29,28 @@
 //
 // The sparse matvec is CsrMatrix::multiply_range on the transposed
 // generator -- a gather, so it shards across the ThreadPool exactly like
-// the parallel uniformisation backend and stays bitwise deterministic
+// the parallel uniformisation backend (the same chunk-aligned,
+// nnz-balanced ChunkWindow::split) and stays bitwise deterministic
 // across thread counts ("--threads" composes).  The whole solve runs in
 // the reachable closure of the initial support (exact: mass cannot leave
 // it), which halves both the matvec and the orthogonalisation on the
 // paper's expanded chains; the orthogonalisation itself runs sharded over
 // the same pool through linalg::arnoldi's fixed-block reduction contract.
+//
+// Mass window (the uniformisation engines' drop rule, applied per
+// sub-step; engine/chunk_window.hpp).  After each accepted sub-step of
+// length tau inside an increment dt, every 512-row chunk of the state
+// whose entries all lie below theta = epsilon tau / (100 dt rows) is
+// zeroed (markov::drop_cold_chunks), so the accepted sub-steps of one
+// increment drop less than epsilon / 100 in total; BackendStats::
+// dropped_mass reports it.  The state is then exactly zero outside the
+// hull H_0 of its live chunks, basis vector j outside H_j = H_{j-1}
+// widened by Q^T's per-chunk column reach, and Arnoldi step j -- matvec,
+// Gram-Schmidt, DGKS and scale -- runs over H_{j+1} only, as do the
+// error-estimate matvec and the combine.  Every buffer remembers where it
+// may be non-zero and is cleared outside its span, so the windowed
+// factorisation is bitwise the full-range one of the same vectors;
+// BackendStats::rows_iterated counts the rows the matvecs wrote.
 //
 // Adaptive subspace dimension: between sub-steps m grows on rejected
 // trials (the projection was too shallow for the attempted step) and
@@ -48,10 +64,12 @@
 // m = krylov_dim for A/B measurement.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "kibamrm/common/thread_pool.hpp"
+#include "kibamrm/engine/chunk_window.hpp"
 #include "kibamrm/engine/transient_backend.hpp"
 #include "kibamrm/linalg/arnoldi.hpp"
 #include "kibamrm/linalg/csr_matrix.hpp"
@@ -77,10 +95,18 @@ class KrylovBackend final : public TransientBackend {
 
  private:
   /// Advances `state` by dt through adaptive Krylov sub-steps; `matvec`
-  /// applies Q^T.  anorm is ||Q^T||_1, the step-size and breakdown scale.
-  void integrate(const std::function<void(const std::vector<double>&,
-                                          std::vector<double>&)>& matvec,
+  /// applies Q^T over a row span.  anorm is ||Q^T||_1, the step-size and
+  /// breakdown scale.
+  void integrate(const linalg::ArnoldiSpanMatvec& matvec,
                  std::vector<double>& state, double dt, double anorm);
+
+  /// Fills spans_[0..m+1]: H_0 = hull_, then each widened by the column
+  /// reach; and the matching row spans.
+  void plan_spans(std::size_t m);
+
+  /// ||v||_2 of a vector that is zero outside `span`, bitwise the
+  /// full-length kernels::nrm2.
+  double span_norm(const std::vector<double>& v, ChunkSpan span);
 
   /// Smallest dimension, stepping down from m by dim quanta, whose
   /// estimated error for a step of length `probe` from the current
@@ -101,10 +127,23 @@ class KrylovBackend final : public TransientBackend {
   std::vector<double> residual_;
   std::vector<double> stepped_;
   std::vector<double> full_point_;  // closure -> full-space emission buffer
-  // Row split of the current solve's Q^T, shared by the matvec and the
-  // accepted-step combine.
-  GatherShardPlan shards_;
   linalg::ArnoldiWorkspace arnoldi_ws_;
+  // The mass window over the current solve's Q^T: the live chunks of the
+  // state, the spans H_0..H_{m+1} of the next factorisation (and as row
+  // ranges), where each buffer may be non-zero, the shard boundaries of
+  // the latest split, and the drop's per-chunk flags and mass.
+  ChunkWindow window_;
+  ChunkSpan hull_;
+  std::vector<ChunkSpan> spans_;
+  std::vector<linalg::RowSpan> row_spans_;
+  std::vector<ChunkSpan> basis_dirty_;
+  ChunkSpan residual_dirty_;
+  ChunkSpan state_dirty_;
+  ChunkSpan stepped_dirty_;
+  std::vector<std::size_t> bounds_;
+  std::vector<std::uint8_t> live_;
+  std::vector<double> chunk_dropped_;
+  std::vector<double> norm_partials_;
   // Converged controller sub-step carried across increments of one solve
   // (0 = derive the a-priori EXPOKIT guess); reset per solve().
   double previous_tau_ = 0.0;

@@ -32,33 +32,7 @@ std::shared_ptr<const CachedGatherPlan> build_cached_gather_plan(
   p = linalg::CsrMatrix(1, 1);  // only needed for setup
   cached->structure = linalg::structure_stats(pt);
   cached->nonzeros = pt.nonzeros();
-  const std::size_t n = pt.rows();
-  const std::span<const std::uint32_t> row_ptr = pt.row_pointers();
-  const std::span<const std::uint32_t> col_idx = pt.column_indices();
-  constexpr std::size_t kRows = markov::kDropChunkRows;
-  const std::size_t chunks = markov::drop_chunk_count(n);
-  std::vector<std::size_t>& reach_lo = cached->chunk_reach_lo;
-  std::vector<std::size_t>& reach_hi = cached->chunk_reach_hi;
-  std::vector<std::uint64_t>& work_prefix = cached->chunk_work_prefix;
-  reach_lo.assign(chunks, chunks);
-  reach_hi.assign(chunks, 0);
-  work_prefix.assign(chunks + 1, 0);
-  for (std::size_t r = 0; r < n; ++r) {
-    const std::size_t c = r / kRows;
-    const std::uint32_t entries = row_ptr[r + 1] - row_ptr[r];
-    work_prefix[c + 1] += entries + 1;
-    if (entries > 0) {
-      // CSR columns are sorted: first/last stored column bound the row's
-      // gather footprint.
-      reach_lo[c] =
-          std::min<std::size_t>(reach_lo[c], col_idx[row_ptr[r]] / kRows);
-      reach_hi[c] = std::max<std::size_t>(
-          reach_hi[c], col_idx[row_ptr[r + 1] - 1] / kRows);
-    }
-  }
-  for (std::size_t c = 0; c < chunks; ++c) {
-    work_prefix[c + 1] += work_prefix[c];
-  }
+  cached->window = ChunkWindow(pt);
   cached->plan = linalg::FusedGatherPlan::build(pt);
   if (cached->plan) {
     // The packed layout replaces the CSR copy; chains that fit neither

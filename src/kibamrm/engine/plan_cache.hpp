@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "kibamrm/common/thread_annotations.hpp"
+#include "kibamrm/engine/chunk_window.hpp"
 #include "kibamrm/linalg/csr_matrix.hpp"
 #include "kibamrm/linalg/fused_gather.hpp"
 #include "kibamrm/linalg/permutation.hpp"
@@ -41,15 +42,10 @@ struct CachedGatherPlan {
   /// Sorted reachable closure of the initial support (full-chain state
   /// ids); the loop dimension is reachable.size().
   std::vector<std::uint32_t> reachable;
-  /// Per mass-window chunk (markov::kDropChunkRows rows) of the compacted
-  /// transpose: the first and last chunk its rows read (reach_lo >
-  /// reach_hi for a chunk without stored entries), and the prefix sum of
-  /// stored entries plus rows over the chunks before it (size chunks +
-  /// 1).  The gather executor's step span and shard split run off these,
-  /// so they are derived once per plan, not once per solve and lane.
-  std::vector<std::size_t> chunk_reach_lo;
-  std::vector<std::size_t> chunk_reach_hi;
-  std::vector<std::uint64_t> chunk_work_prefix;
+  /// The mass window's per-chunk reach and work over the compacted
+  /// transpose.  The gather executor's step span and shard split run off
+  /// it, so it is derived once per plan, not once per solve and lane.
+  ChunkWindow window;
   std::uint64_t nonzeros = 0;
   linalg::StructureStats structure;
   /// Compressed kernel plan; nullopt when the chain fits neither layout.

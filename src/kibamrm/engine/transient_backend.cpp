@@ -41,16 +41,6 @@ std::map<std::string, BackendFactory, std::less<>>& registry() {
 
 }  // namespace
 
-GatherShardPlan plan_gather_shards(const linalg::CsrMatrix& matrix,
-                                   std::size_t lanes) {
-  GatherShardPlan plan;
-  plan.use_pool = pool_pays_off(lanes, matrix.nonzeros(), matrix.rows());
-  plan.ranges = plan.use_pool
-                    ? matrix.balanced_row_ranges(4 * lanes)
-                    : std::vector<std::size_t>{0, matrix.rows()};
-  return plan;
-}
-
 markov::TransientOptions transient_options(const BackendOptions& options) {
   return {.epsilon = options.epsilon,
           .renormalize = options.renormalize,

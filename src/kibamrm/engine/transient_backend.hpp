@@ -39,7 +39,6 @@
 #include <vector>
 
 #include "kibamrm/common/error.hpp"
-#include "kibamrm/linalg/csr_matrix.hpp"
 #include "kibamrm/markov/ctmc.hpp"
 #include "kibamrm/markov/uniformization.hpp"
 
@@ -48,9 +47,9 @@ namespace kibamrm::engine {
 class GatherPlanCache;  // engine/plan_cache.hpp
 
 /// Stored entries plus rows below which one gather step costs less than
-/// waking a thread pool; every pool-sharded step (plan_gather_shards and
-/// the uniformisation step's mass-window span) engages the pool only at
-/// or above it.
+/// waking a thread pool; every pool-sharded gather (ChunkWindow::split,
+/// shared by the uniformisation step and the krylov matvec) engages the
+/// pool only at or above it.
 inline constexpr std::uint64_t kPoolEngageWork = 16384;
 
 /// The pool-engagement policy: more than one lane and at least
@@ -59,31 +58,6 @@ inline bool pool_pays_off(std::size_t lanes, std::uint64_t nonzeros,
                           std::uint64_t rows) {
   return lanes > 1 && nonzeros + rows >= kPoolEngageWork;
 }
-
-/// How the krylov engine's pool-sharded gather matvec splits its rows.
-/// The uniformisation step applies the same policy per step to its
-/// mass-window span, cut at chunk edges (engine/gather_executor.hpp), so
-/// the engagement threshold and the oversubscription factor stay tuned
-/// in one place.
-struct GatherShardPlan {
-  /// False when one lane (or a matrix too small to amortise waking the
-  /// pool) makes the inline loop the faster path.
-  bool use_pool = false;
-  /// Shard boundaries: ranges[i]..ranges[i+1] is shard i; always at
-  /// least {0, rows}.
-  std::vector<std::size_t> ranges;
-
-  std::size_t shard_count() const { return ranges.size() - 1; }
-};
-
-/// Splits `matrix` for a gather matvec over `lanes` pool lanes.  Unless
-/// pool_pays_off() the plan stays inline; otherwise rows are nnz-balanced
-/// into 4x-lane contiguous shards.  The pool hands lane l the same home
-/// block of shards on every step, so its rows stay in that core's L2;
-/// the oversubscription gives lanes that finish early whole shards to
-/// steal, absorbing cost imbalance a static split cannot see.
-GatherShardPlan plan_gather_shards(const linalg::CsrMatrix& matrix,
-                                   std::size_t lanes);
 
 /// Thrown when a backend cannot solve a given chain *by design* (e.g. the
 /// dense backend refusing a chain above its state limit) -- as opposed to
@@ -143,8 +117,10 @@ struct BackendOptions {
 /// Cost counters, populated by every backend after each solve().  The
 /// uniformisation counters come from markov::TransientStats: DTMC steps,
 /// savings and windows for the uniformisation engines, and the iterated
-/// matrix's size and structure for those and the krylov engine (0 where a
-/// backend does not report them).  `iterations` is the backend's work
+/// matrix's size and structure and the mass window's `rows_iterated` and
+/// `dropped_mass` for those and the krylov engine (0 where a backend does
+/// not report them; krylov counts the rows its matvecs wrote and the mass
+/// its per-sub-step drops zeroed).  `iterations` is the backend's work
 /// unit: DTMC steps (= sparse matrix-vector products) for uniformisation
 /// and matrix-vector products for krylov, dense matrix-matrix products
 /// for the expm backend.

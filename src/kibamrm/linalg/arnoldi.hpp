@@ -25,10 +25,24 @@
 // Reductions follow the kernels layer's fixed-block pairwise contract,
 // so the factorisation is bitwise identical for every thread count and
 // dispatch tier.
+//
+// Row spans.  When the start vector is exactly zero outside a row range
+// and A reaches only a bounded distance from each row, basis vector j is
+// zero outside a known, wider range: the span H_j of the caller's mass
+// window (engine/chunk_window.hpp; the Krylov engine starts from the live
+// hull of its state and widens by the matrix's per-chunk column reach).
+// The span overload runs step j -- its matvec, both Gram-Schmidt passes,
+// the DGKS pass and the scale -- over H_{j+1} only, and re-splits its
+// block shards over that span.  Spans are block-aligned (the window's
+// 512-row chunks are two kernel blocks), so the block partials outside a
+// span stay exactly zero and every reduction still runs the full-length
+// pairwise tree: a factorisation of vectors with zero tails is bitwise
+// the full-range one, at every lane count.
 #pragma once
 
 #include <cstddef>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "kibamrm/linalg/dense_matrix.hpp"
@@ -42,6 +56,17 @@ namespace kibamrm::linalg {
 /// out = A * in; `out` is pre-sized to in.size() and fully overwritten.
 using ArnoldiMatvec =
     std::function<void(const std::vector<double>&, std::vector<double>&)>;
+
+/// Rows [begin, end) of a vector.
+struct RowSpan {
+  std::size_t begin = 0;
+  std::size_t end = 0;
+};
+
+/// out = A * in over `rows` only: writes out[i] for i in rows and touches
+/// nothing else (`out` is pre-sized to in.size()).
+using ArnoldiSpanMatvec = std::function<void(
+    const std::vector<double>&, std::vector<double>&, RowSpan)>;
 
 /// Result of one Arnoldi factorisation A V_k = V_{k+1} H_k.
 struct ArnoldiResult {
@@ -81,6 +106,23 @@ struct ArnoldiWorkspace {
 /// h_{k+1,k} <= breakdown_tolerance * ||A v_k|| (happy breakdown); pass a
 /// small multiple of machine epsilon.
 ArnoldiResult arnoldi(const ArnoldiMatvec& matvec,
+                      std::vector<std::vector<double>>& basis, DenseReal& h,
+                      std::size_t m, double breakdown_tolerance,
+                      common::ThreadPool* pool = nullptr,
+                      ArnoldiWorkspace* workspace = nullptr);
+
+/// The same factorisation with every step confined to a row span (see
+/// the file comment): step j computes basis[j+1] over spans[j+1] only.
+/// `spans` holds at least m+1 entries, nested (spans[j] inside
+/// spans[j+1]), each starting on a kernels::kBlockDoubles boundary and
+/// ending on one or at the vector's end.  On entry basis[j] must be zero
+/// outside spans[j] for every j <= m -- basis[0] by the caller's start
+/// vector, the others because the caller cleared them -- and A must map a
+/// vector that is zero outside spans[j] to one that is zero outside
+/// spans[j+1].  The result, basis and H are then bitwise those of the
+/// full-range overload.
+ArnoldiResult arnoldi(const ArnoldiSpanMatvec& matvec,
+                      std::span<const RowSpan> spans,
                       std::vector<std::vector<double>>& basis, DenseReal& h,
                       std::size_t m, double breakdown_tolerance,
                       common::ThreadPool* pool = nullptr,

@@ -125,34 +125,6 @@ void CsrMatrix::multiply_range(const std::vector<double>& x,
   }
 }
 
-std::vector<std::size_t> CsrMatrix::balanced_row_ranges(
-    std::size_t parts) const {
-  KIBAMRM_REQUIRE(parts > 0, "balanced_row_ranges: parts must be positive");
-  // Weight each row by nnz + 1: the +1 charges the unconditional output
-  // write, so a block of empty rows still counts as work.
-  std::vector<std::size_t> ranges = {0};
-  double outstanding = static_cast<double>(nonzeros() + rows_);
-  double carried = 0.0;
-  for (std::size_t row = 0; row < rows_; ++row) {
-    carried += static_cast<double>(row_ptr_[row + 1] - row_ptr_[row]) + 1.0;
-    // Close the current range once it holds its fair share of the weight
-    // still outstanding (recomputed after every split, so one huge row
-    // cannot starve the later ranges), never creating more ranges than
-    // rows remain.
-    const std::size_t open = ranges.size();
-    const double fair_share =
-        outstanding / static_cast<double>(parts - open + 1);
-    if (open < parts && carried >= fair_share &&
-        rows_ - row - 1 >= parts - open) {
-      ranges.push_back(row + 1);
-      outstanding -= carried;
-      carried = 0.0;
-    }
-  }
-  ranges.push_back(rows_);
-  return ranges;
-}
-
 void CsrMatrix::left_multiply(const std::vector<double>& pi,
                               std::vector<double>& out) const {
   KIBAMRM_REQUIRE(pi.size() == rows_, "left_multiply: dimension mismatch");

@@ -90,13 +90,6 @@ class CsrMatrix {
   void multiply_range(const std::vector<double>& x, std::vector<double>& out,
                       std::size_t row_begin, std::size_t row_end) const;
 
-  /// Splits the rows into at most `parts` contiguous ranges of roughly
-  /// equal non-zero count (each row also weighted by one write, so empty
-  /// rows are not free).  Returns the range boundaries: ranges[i] ..
-  /// ranges[i+1] is part i, ranges.front() == 0, ranges.back() == rows().
-  /// Fewer ranges come back when the matrix is too small to fill `parts`.
-  std::vector<std::size_t> balanced_row_ranges(std::size_t parts) const;
-
   /// out = pi * A  (row vector on the left).  This is the uniformisation
   /// kernel; `out` is overwritten (its capacity is reused across calls, so
   /// repeated products over time increments allocate nothing).

@@ -316,17 +316,6 @@ double FusedGatherPlan::fused_range_row_offset(
                            row_begin, row_end);
 }
 
-std::vector<std::pair<std::size_t, std::size_t>>
-FusedGatherPlan::uniform_segment_spans() const {
-  std::vector<std::pair<std::size_t, std::size_t>> spans;
-  spans.reserve(segments_.size());
-  for (const UniformSegment& segment : segments_) {
-    spans.emplace_back(segment.row_begin,
-                       segment.row_begin + segment.row_count);
-  }
-  return spans;
-}
-
 double FusedGatherPlan::fused_range_column_delta(
     const std::vector<double>& x, std::vector<double>& out,
     std::vector<double>& accum, double weight, std::size_t row_begin,

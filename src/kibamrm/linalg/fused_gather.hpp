@@ -54,7 +54,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "kibamrm/linalg/csr_matrix.hpp"
@@ -88,10 +87,6 @@ class FusedGatherPlan {
                : static_cast<double>(uniform_rows_) /
                      static_cast<double>(lengths_.size());
   }
-
-  /// (row_begin, row_end) of every uniform segment, ascending.
-  std::vector<std::pair<std::size_t, std::size_t>> uniform_segment_spans()
-      const;
 
   /// Same contract and bitwise-identical result as
   /// CsrMatrix::multiply_fused_range on the source matrix: for rows in

@@ -121,11 +121,13 @@ struct TransientStats {
   std::uint64_t longest_diagonal_run = 0;
   /// Loop rows the DTMC steps actually iterated, summed over steps: up to
   /// iterations * active_states, less where the mass window skips rows.
+  /// The krylov engine counts the rows its matvecs wrote.
   std::uint64_t rows_iterated = 0;
   /// Probability mass the mass window zeroed (see the file comment),
   /// summed per chunk over each increment, then over chunks in chunk
   /// order, then over increments -- the same bits at every lane count.
-  /// Below epsilon / 100 per increment by construction.
+  /// Below epsilon / 100 per increment by construction, for the krylov
+  /// engine's per-sub-step drops too.
   double dropped_mass = 0.0;
 };
 

@@ -58,9 +58,9 @@ Verdict bitwise_equal(const std::vector<std::vector<double>>& reference,
 }
 
 TEST(Determinism, ParallelBackendBitwiseAcrossThreadCounts) {
-  // Chains dense enough that plan_gather_shards actually engages the
-  // ThreadPool (>= ~16k stored entries); a small-chain run would pass
-  // vacuously through the inline path.
+  // Chains dense enough that the step span's split (ChunkWindow::split)
+  // actually engages the ThreadPool (>= ~16k stored entries); a
+  // small-chain run would pass vacuously through the inline path.
   CtmcGenOptions options;
   options.family = CtmcFamily::kErgodic;
   options.min_states = 240;

@@ -1,8 +1,9 @@
-// Stored-data checks for the uniformisation engines:
+// Stored-data checks for the transient engines:
 //   * golden curves -- the paper's Fig. 8 at Delta = 100 and 50, stored as
 //     hex-float in tests/data/test_engine_golden/ by a full-sweep solve
-//     (before the mass window existed), which the windowed solve must
-//     reproduce within the mass it reports dropping;
+//     (before the mass window existed), which the windowed uniformisation
+//     solve must reproduce within the mass it reports dropping, and the
+//     krylov engine within a stated tolerance;
 //   * exact counts -- the uniformisation work counters of Fig. 8 at
 //     Delta = 50, which no change to how a step executes may move, and
 //     the share of rows the mass window still steps at Delta = 25.
@@ -53,12 +54,39 @@ void expect_matches_golden(double delta, const std::string& file) {
   }
 }
 
+// The krylov engine is a different approximation of the same
+// exponential, so it meets the files within a tolerance: 1e-10, the
+// per-increment budget, against a measured maximum of about 1e-11.
+void expect_krylov_near_golden(double delta, const std::string& file) {
+  const testing::GoldenCurve golden = testing::load_golden_curve(file);
+  ASSERT_EQ(golden.times, fig8_times()) << file << " holds another grid";
+  for (const std::size_t threads : {1u, 4u}) {
+    MarkovianApproximation solver(
+        fig8_kibam(),
+        {.delta = delta, .engine = "krylov", .threads = threads});
+    const LifetimeCurve curve = solver.solve(golden.times);
+    for (std::size_t k = 0; k < golden.times.size(); ++k) {
+      EXPECT_NEAR(curve.probabilities()[k], golden.probabilities[k], 1e-10)
+          << file << " at t = " << golden.times[k] << ", threads "
+          << threads;
+    }
+  }
+}
+
 TEST(GoldenCurves, Fig8Delta100WithinTheDroppedMass) {
   expect_matches_golden(100.0, "fig8_d100.txt");
 }
 
 TEST(GoldenCurves, Fig8Delta50WithinTheDroppedMass) {
   expect_matches_golden(50.0, "fig8_d50.txt");
+}
+
+TEST(GoldenCurves, Fig8Delta100KrylovWithinTolerance) {
+  expect_krylov_near_golden(100.0, "fig8_d100.txt");
+}
+
+TEST(GoldenCurves, Fig8Delta50KrylovWithinTolerance) {
+  expect_krylov_near_golden(50.0, "fig8_d50.txt");
 }
 
 TEST(ExactCounts, Fig8Delta50UnderParallel) {

@@ -1,11 +1,13 @@
 // Stiff-chain regression suite for the Krylov transient backend: chains
 // whose stiffness defeats an explicit stepper must solve through
-// "krylov", and on the mild fig8 grid "krylov" must agree with the
-// production uniformisation engine to the usual budget.
+// "krylov", on the mild fig8 grid "krylov" must agree with the
+// production uniformisation engine to the usual budget, and its mass
+// window must drop within budget, skip rows and stay lane-independent.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "kibamrm/common/error.hpp"
@@ -195,6 +197,69 @@ TEST(KrylovAdaptiveDim, BitwiseDeterministicAcrossThreadCounts) {
   for (std::size_t k = 0; k < reference.size(); ++k) {
     EXPECT_EQ(reference[k], result[k]) << "t = " << times[k];
   }
+}
+
+// Fig. 8 at Delta = 25 on the fig8 driver's grid, solved once at 1 and
+// at 4 lanes for the whole suite: the mass blob covers a fraction of the
+// closure, so the window drops cold chunks and the matvecs skip rows.
+class KrylovWindow : public ::testing::Test {
+ protected:
+  struct Run {
+    core::LifetimeCurve curve;
+    core::ApproximationStats stats;
+  };
+
+  static void SetUpTestSuite() {
+    for (const std::size_t threads : {1u, 4u}) {
+      core::MarkovianApproximation solver(
+          fig8_kibam(),
+          {.delta = 25.0, .engine = "krylov", .threads = threads});
+      core::LifetimeCurve curve = solver.solve(times());
+      runs().push_back({std::move(curve), solver.last_stats()});
+    }
+  }
+  static void TearDownTestSuite() { runs().clear(); }
+
+  static std::vector<double> times() {
+    return core::uniform_grid(6000.0, 20000.0, 57);
+  }
+  static std::vector<Run>& runs() {
+    static std::vector<Run> solved;
+    return solved;
+  }
+};
+
+TEST_F(KrylovWindow, DropsWithinTheBudgetAndSkipsRowsOnFig8Delta25) {
+  ASSERT_EQ(runs().size(), 2u);
+  const core::ApproximationStats& stats = runs()[1].stats;
+  // Each accepted sub-step drops less than epsilon tau / (100 dt), so one
+  // increment drops less than epsilon / 100.
+  EXPECT_GT(stats.dropped_mass, 0.0);
+  EXPECT_LE(stats.dropped_mass,
+            static_cast<double>(times().size()) * 1e-10 / 100.0);
+  // A full sweep writes iterations * active_states rows; the windowed
+  // matvecs wrote 86.6% of that when the window was introduced.
+  const double full_sweep = static_cast<double>(stats.iterations) *
+                            static_cast<double>(stats.active_states);
+  EXPECT_GT(stats.rows_iterated, 0u);
+  EXPECT_LE(static_cast<double>(stats.rows_iterated), 0.92 * full_sweep);
+}
+
+TEST_F(KrylovWindow, CurvesAndStatsBitwiseAcrossLaneCounts) {
+  // Every window decision reads the state, which is bitwise the same at
+  // every lane count, so the spans, drops and curves are too.
+  ASSERT_EQ(runs().size(), 2u);
+  const Run& serial = runs()[0];
+  const Run& pooled = runs()[1];
+  EXPECT_EQ(pooled.curve.probabilities(), serial.curve.probabilities());
+  const core::ApproximationStats& a = pooled.stats;
+  const core::ApproximationStats& b = serial.stats;
+  EXPECT_EQ(a.iterations, b.iterations);
+  EXPECT_EQ(a.substeps, b.substeps);
+  EXPECT_EQ(a.krylov_ortho_work, b.krylov_ortho_work);
+  EXPECT_EQ(a.hessenberg_expms, b.hessenberg_expms);
+  EXPECT_EQ(a.rows_iterated, b.rows_iterated);
+  EXPECT_EQ(a.dropped_mass, b.dropped_mass);
 }
 
 TEST(KrylovStiff, AllAbsorbingChainIsIdentity) {

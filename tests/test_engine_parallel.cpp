@@ -68,29 +68,6 @@ TEST(ParallelBackend, MatchesUniformizationOnFig8AtEveryThreadCount) {
   }
 }
 
-TEST(ParallelBackend, FullDistributionsMatchSerialBackend) {
-  // Delta = 50 puts the chain (~10k states, ~40k nonzeros) above the
-  // backend's inline threshold, so this exercises the sharded pool path.
-  const auto expanded = core::build_expanded_chain(fig8_kibam(), 50.0);
-  const std::vector<double> times = {12000.0};
-  auto serial = make_backend("uniformization");
-  const auto expected =
-      serial->solve(expanded.chain, expanded.initial, times);
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    auto backend = make_backend("parallel", {.threads = threads});
-    const auto actual =
-        backend->solve(expanded.chain, expanded.initial, times);
-    ASSERT_EQ(actual.size(), expected.size());
-    for (std::size_t k = 0; k < times.size(); ++k) {
-      EXPECT_LT(linalg::linf_distance(actual[k], expected[k]), 1e-10)
-          << "threads = " << threads << ", t = " << times[k];
-    }
-    EXPECT_EQ(backend->last_stats().time_points, times.size());
-    EXPECT_GT(backend->last_stats().iterations, 0u);
-    EXPECT_GT(backend->last_stats().uniformization_rate, 0.0);
-  }
-}
-
 TEST(ParallelBackend, BitwiseDeterministicAcrossThreadCounts) {
   // Above the inline threshold: the shard partition differs per thread
   // count, the arithmetic must not.  This covers the fused kernel
@@ -159,6 +136,35 @@ markov::Ctmc pooled_ring_chain() {
   }
   for (std::size_t i = ring; i < n; ++i) rates[i][i - ring] = 1.0;
   return markov::ctmc_from_rates(rates);
+}
+
+TEST(ParallelBackend, FullDistributionsMatchSerialBackend) {
+  // The pooled ring is just large enough for the pool-sharded step to
+  // engage, so this exercises the sharded path at a fraction of a fig8
+  // chain's cost.
+  const markov::Ctmc chain = pooled_ring_chain();
+  std::vector<double> initial(chain.state_count(), 0.0);
+  initial[0] = 1.0;
+  const std::vector<double> times = {1.0, 4.0};
+  auto serial = make_backend("uniformization");
+  const auto expected = serial->solve(chain, initial, times);
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    auto backend = make_backend("parallel", {.threads = threads});
+    const auto actual = backend->solve(chain, initial, times);
+    ASSERT_EQ(actual.size(), expected.size());
+    for (std::size_t k = 0; k < times.size(); ++k) {
+      EXPECT_LT(linalg::linf_distance(actual[k], expected[k]), 1e-10)
+          << "threads = " << threads << ", t = " << times[k];
+    }
+    const BackendStats& stats = backend->last_stats();
+    EXPECT_EQ(stats.time_points, times.size());
+    EXPECT_GT(stats.iterations, 0u);
+    EXPECT_GT(stats.uniformization_rate, 0.0);
+    EXPECT_EQ(pool_pays_off(threads, stats.active_nonzeros,
+                            stats.active_states),
+              threads > 1)
+        << "the chain must be large enough to exercise the pool path";
+  }
 }
 
 TEST(ParallelBackend, FusedMatchesDenseExpmOracle) {

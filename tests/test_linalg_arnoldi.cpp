@@ -1,14 +1,20 @@
 // Tests for the Arnoldi factorisation behind the Krylov backend: the
-// Arnoldi relation, basis orthonormality, and happy breakdowns.
+// Arnoldi relation, basis orthonormality, happy breakdowns, and the
+// row-span (mass window) overload.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <memory>
 #include <vector>
 
 #include "kibamrm/common/error.hpp"
+#include "kibamrm/common/thread_pool.hpp"
 #include "kibamrm/linalg/arnoldi.hpp"
+#include "kibamrm/linalg/csr_matrix.hpp"
 #include "kibamrm/linalg/dense_matrix.hpp"
+#include "kibamrm/linalg/kernels.hpp"
 #include "kibamrm/linalg/vector_ops.hpp"
 
 namespace kibamrm::linalg {
@@ -110,6 +116,115 @@ TEST(Arnoldi, RejectsUndersizedArguments) {
   DenseReal h(3, 2);
   EXPECT_THROW(arnoldi(dense_matvec(DenseReal::identity(4)), basis, h, 2,
                        1e-14),
+               InvalidArgument);
+}
+
+// A banded matrix whose rows read at most three columns either side, so a
+// vector that is zero outside chunks [b, e) of 512 rows maps to one that
+// is zero outside [b - 1, e + 1).
+CsrMatrix three_band_matrix(std::size_t n) {
+  CooBuilder builder(n, n);
+  std::uint64_t state = 99;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t d = 0; d <= 6; ++d) {
+      if (i + d < 3 || i + d - 3 >= n) continue;
+      state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+      builder.add(i, i + d - 3,
+                  static_cast<double>(state >> 11) /
+                          static_cast<double>(1ULL << 53) -
+                      0.5);
+    }
+  }
+  return builder.build();
+}
+
+std::uint64_t bits(double value) {
+  std::uint64_t out = 0;
+  std::memcpy(&out, &value, sizeof(out));
+  return out;
+}
+
+TEST(Arnoldi, WindowedFactorisationIsBitwiseTheFullOne) {
+  // 64 chunks of 512 rows; the start vector lives on chunks [20, 44), so
+  // the spans grow from 12288 rows (inline sweeps) past the 16384-row
+  // pool threshold (sharded sweeps) within the factorisation.
+  constexpr std::size_t kChunk = 512;
+  const std::size_t n = 64 * kChunk;
+  const std::size_t m = 8;
+  const CsrMatrix a = three_band_matrix(n);
+  std::vector<double> start(n, 0.0);
+  std::uint64_t state = 7;
+  for (std::size_t i = 20 * kChunk; i < 44 * kChunk; ++i) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    start[i] = static_cast<double>(state >> 11) /
+               static_cast<double>(1ULL << 53);
+  }
+  scale(start, 1.0 / kernels::nrm2(start.data(), n));
+  std::vector<RowSpan> spans;
+  for (std::size_t j = 0; j <= m; ++j) {
+    spans.push_back({(20 - j) * kChunk, (44 + j) * kChunk});
+  }
+  const ArnoldiMatvec full_matvec = [&](const std::vector<double>& in,
+                                        std::vector<double>& out) {
+    a.multiply_range(in, out, 0, n);
+  };
+  const ArnoldiSpanMatvec span_matvec = [&](const std::vector<double>& in,
+                                            std::vector<double>& out,
+                                            RowSpan rows) {
+    a.multiply_range(in, out, rows.begin, rows.end);
+  };
+
+  for (const std::size_t lanes : {1u, 4u}) {
+    SCOPED_TRACE(lanes);
+    common::ThreadPool pool(lanes);
+    std::vector<std::vector<double>> full(m + 1,
+                                          std::vector<double>(n, 0.0));
+    std::vector<std::vector<double>> windowed = full;
+    full[0] = start;
+    windowed[0] = start;
+    DenseReal h_full(m + 1, m);
+    DenseReal h_windowed(m + 1, m);
+    const ArnoldiResult full_result =
+        arnoldi(full_matvec, full, h_full, m, 1e-14, &pool);
+    const ArnoldiResult windowed_result = arnoldi(
+        span_matvec, spans, windowed, h_windowed, m, 1e-14, &pool);
+    ASSERT_EQ(full_result.dim, m);
+    ASSERT_EQ(windowed_result.dim, full_result.dim);
+    EXPECT_EQ(windowed_result.happy_breakdown, full_result.happy_breakdown);
+    for (std::size_t j = 0; j <= m; ++j) {
+      EXPECT_EQ(std::memcmp(windowed[j].data(), full[j].data(),
+                            n * sizeof(double)),
+                0)
+          << "basis vector " << j;
+    }
+    for (std::size_t i = 0; i <= m; ++i) {
+      for (std::size_t j = 0; j < m; ++j) {
+        EXPECT_EQ(bits(h_windowed(i, j)), bits(h_full(i, j)))
+            << "h(" << i << "," << j << ")";
+      }
+    }
+  }
+}
+
+TEST(Arnoldi, RejectsSpansThatAreNotNestedOrBlockAligned) {
+  const std::size_t n = 2048;
+  const CsrMatrix a = three_band_matrix(n);
+  const ArnoldiSpanMatvec matvec = [&](const std::vector<double>& in,
+                                       std::vector<double>& out,
+                                       RowSpan rows) {
+    a.multiply_range(in, out, rows.begin, rows.end);
+  };
+  std::vector<std::vector<double>> basis(3, std::vector<double>(n, 0.0));
+  basis[0][600] = 1.0;
+  DenseReal h(3, 2);
+  const std::vector<RowSpan> shrinking = {{512, 1024}, {512, 1024}, {512, 768}};
+  EXPECT_THROW(arnoldi(matvec, shrinking, basis, h, 2, 1e-14),
+               InvalidArgument);
+  const std::vector<RowSpan> misaligned = {{512, 1024}, {500, 1024}, {0, n}};
+  EXPECT_THROW(arnoldi(matvec, misaligned, basis, h, 2, 1e-14),
+               InvalidArgument);
+  const std::vector<RowSpan> too_few = {{512, 1024}, {0, n}};
+  EXPECT_THROW(arnoldi(matvec, too_few, basis, h, 2, 1e-14),
                InvalidArgument);
 }
 

@@ -238,7 +238,7 @@ TEST(CsrMatrix, MultiplyRangeStitchedPartitionsMatchFullMultiply) {
   std::vector<double> full;
   p.multiply(x, full);
   std::vector<double> stitched(p.rows(), 0.0);
-  const auto ranges = p.balanced_row_ranges(2);
+  const std::vector<std::size_t> ranges = {0, 1, 2};
   for (std::size_t part = 0; part + 1 < ranges.size(); ++part) {
     p.multiply_range(x, stitched, ranges[part], ranges[part + 1]);
   }
@@ -256,67 +256,6 @@ TEST(CsrMatrix, MultiplyRangeRejectsBadArguments) {
   std::vector<double> out(3, 0.0);
   EXPECT_THROW(m.multiply_range(x, out, 2, 1), InvalidArgument);
   EXPECT_THROW(m.multiply_range(x, out, 0, 4), InvalidArgument);
-}
-
-TEST(CsrMatrix, BalancedRowRangesCoverAllRowsInOrder) {
-  const std::size_t n = 1000;
-  CooBuilder builder(n, n);
-  // Heavily skewed nnz: row i holds i % 7 entries, so equal-row splits
-  // would be badly unbalanced.
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t k = 0; k < i % 7; ++k) {
-      builder.add(i, (i + k) % n, 1.0);
-    }
-  }
-  const CsrMatrix m = builder.build();
-  for (const std::size_t parts : {1u, 3u, 16u}) {
-    const auto ranges = m.balanced_row_ranges(parts);
-    ASSERT_GE(ranges.size(), 2u);
-    ASSERT_LE(ranges.size(), parts + 1);
-    EXPECT_EQ(ranges.front(), 0u);
-    EXPECT_EQ(ranges.back(), n);
-    for (std::size_t i = 0; i + 1 < ranges.size(); ++i) {
-      EXPECT_LT(ranges[i], ranges[i + 1]) << "empty or unsorted range";
-    }
-  }
-}
-
-TEST(CsrMatrix, BalancedRowRangesBalanceByNonzeros) {
-  // 100 rows: the first 10 hold 50 nonzeros each, the rest one each.  An
-  // equal-rows split at 2 parts would put 5% of the work in part 2; the
-  // nnz-balanced split must cut inside the heavy block.
-  CooBuilder builder(100, 100);
-  for (std::size_t i = 0; i < 10; ++i) {
-    for (std::size_t k = 0; k < 50; ++k) builder.add(i, k, 1.0);
-  }
-  for (std::size_t i = 10; i < 100; ++i) builder.add(i, 0, 1.0);
-  const CsrMatrix m = builder.build();
-  const auto ranges = m.balanced_row_ranges(2);
-  ASSERT_EQ(ranges.size(), 3u);
-  EXPECT_LT(ranges[1], 10u) << "split must land inside the heavy rows";
-}
-
-TEST(CsrMatrix, BalancedRowRangesSurviveOneDominantRow) {
-  // One row holds ~84% of the weight; the remaining parts must still be
-  // carved out of the light tail instead of collapsing into one range.
-  CooBuilder builder(100, 100);
-  for (std::size_t k = 0; k < 100; ++k) builder.add(0, k, 1.0);
-  for (std::size_t i = 1; i < 100; ++i) builder.add(i, 0, 1.0);
-  const CsrMatrix m = builder.build();
-  const auto ranges = m.balanced_row_ranges(4);
-  ASSERT_EQ(ranges.size(), 5u) << "requested parts must all materialise";
-  EXPECT_EQ(ranges[1], 1u) << "the dominant row is its own range";
-}
-
-TEST(CsrMatrix, BalancedRowRangesMoreKPartsThanRows) {
-  const CsrMatrix m(3, 3);
-  const auto ranges = m.balanced_row_ranges(16);
-  EXPECT_EQ(ranges.front(), 0u);
-  EXPECT_EQ(ranges.back(), 3u);
-  ASSERT_LE(ranges.size(), 4u);
-  for (std::size_t i = 0; i + 1 < ranges.size(); ++i) {
-    EXPECT_LT(ranges[i], ranges[i + 1]);
-  }
 }
 
 TEST(CsrMatrix, LargeBandedMatrixRoundTrip) {

@@ -14,12 +14,12 @@
 #include "kibamrm/common/thread_pool.hpp"
 #include "kibamrm/core/expanded_ctmc.hpp"
 #include "kibamrm/core/exact_c1.hpp"
+#include "kibamrm/engine/transient_backend.hpp"
 #include "kibamrm/linalg/csr_matrix.hpp"
 #include "kibamrm/linalg/expm.hpp"
 #include "kibamrm/linalg/fused_gather.hpp"
 #include "kibamrm/linalg/kernels.hpp"
 #include "kibamrm/markov/fox_glynn.hpp"
-#include "kibamrm/markov/uniformization.hpp"
 #include "kibamrm/workload/onoff_model.hpp"
 #include "kibamrm/workload/simple_model.hpp"
 
@@ -329,8 +329,9 @@ void BM_TransientSolve(benchmark::State& state) {
       {.capacity = 7200.0, .available_fraction = 1.0, .flow_constant = 0.0});
   const auto expanded = core::build_expanded_chain(model, 25.0);
   for (auto _ : state) {
-    markov::TransientSolver solver(expanded.chain);
-    const auto result = solver.solve(expanded.initial, {15000.0});
+    const auto solver = engine::make_backend("uniformization");
+    const auto result =
+        solver->solve(expanded.chain, expanded.initial, {15000.0});
     benchmark::DoNotOptimize(result.front().data());
   }
 }

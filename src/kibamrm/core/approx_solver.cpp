@@ -13,29 +13,32 @@ MarkovianApproximation::MarkovianApproximation(const KibamRmModel& model,
       backend_(engine::make_backend(
           options_.engine,
           {.epsilon = options_.epsilon,
-           .dense_state_limit = options_.dense_state_limit,
            .threads = options_.threads,
            // The curve only needs the streamed Pr{empty} values, not one
            // distribution copy per time point.
            .collect_distributions = false,
-           .steady_state_detection = options_.steady_state_detection})) {
-  stats_.expanded_states = expanded_.grid.state_count();
-  stats_.generator_nonzeros = expanded_.chain.generator().nonzeros();
-  stats_.engine = options_.engine;
-  stats_.reorder = state_ordering_name(expanded_.ordering);
-}
+           .steady_state_detection = options_.steady_state_detection})),
+      stats_(approximation_stats(expanded_, options_.engine)) {}
 
 LifetimeCurve MarkovianApproximation::solve(const std::vector<double>& times) {
   LifetimeCurve curve = solve_empty_probability_curve(expanded_, *backend_,
                                                       times, options_.epsilon);
-  absorb_backend_stats(stats_, backend_->last_stats());
+  stats_ = approximation_stats(expanded_, options_.engine,
+                               backend_->last_stats());
   return curve;
 }
 
-void absorb_backend_stats(ApproximationStats& stats,
-                          const engine::BackendStats& backend) {
+ApproximationStats approximation_stats(const ExpandedChain& expanded,
+                                       const std::string& engine,
+                                       const engine::BackendStats& backend) {
+  ApproximationStats stats;
   static_cast<engine::BackendStats&>(stats) = backend;
   stats.uniformization_iterations = backend.iterations;
+  stats.expanded_states = expanded.grid.state_count();
+  stats.generator_nonzeros = expanded.chain.generator().nonzeros();
+  stats.engine = engine;
+  stats.reorder = state_ordering_name(expanded.ordering);
+  return stats;
 }
 
 LifetimeCurve solve_empty_probability_curve(const ExpandedChain& expanded,

@@ -31,8 +31,6 @@ struct ApproximationOptions {
   double epsilon = 1e-10;
   /// Transient engine name; see engine::backend_names().
   std::string engine = "uniformization";
-  /// Refusal threshold of the dense engine (states).
-  std::size_t dense_state_limit = 1024;
   /// Execution lanes of the "parallel" engine; 0 auto-detects.  Ignored by
   /// the serial engines.
   std::size_t threads = 0;
@@ -66,11 +64,14 @@ struct ApproximationStats : engine::BackendStats {
   std::uint64_t uniformization_iterations = 0;
 };
 
-/// Copies the per-solve counters of a backend into the approximation-level
-/// record (shared by MarkovianApproximation and engine::ScenarioBatch so
-/// batched and sequential stats cannot drift).
-void absorb_backend_stats(ApproximationStats& stats,
-                          const engine::BackendStats& backend);
+/// The approximation-level record of a solve of `expanded` through the
+/// engine named `engine`: the chain's size and ordering, the engine name
+/// and the backend's counters (none before the first solve).  Shared by
+/// MarkovianApproximation and engine::ScenarioBatch, so batched and
+/// sequential stats cannot drift.
+ApproximationStats approximation_stats(const ExpandedChain& expanded,
+                                       const std::string& engine,
+                                       const engine::BackendStats& backend = {});
 
 class MarkovianApproximation {
  public:

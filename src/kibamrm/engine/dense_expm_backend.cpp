@@ -1,13 +1,14 @@
 #include "kibamrm/engine/dense_expm_backend.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "kibamrm/common/error.hpp"
 #include "kibamrm/linalg/expm.hpp"
-#include "kibamrm/linalg/vector_ops.hpp"
 
 namespace kibamrm::engine {
 
@@ -20,22 +21,22 @@ DenseExpmBackend::DenseExpmBackend(BackendOptions options)
 std::vector<std::vector<double>> DenseExpmBackend::solve(
     const markov::Ctmc& chain, const std::vector<double>& initial,
     const std::vector<double>& times, const PointCallback& on_point) {
-  markov::check_transient_arguments(chain, initial, times);
-  if (chain.state_count() > options_.dense_state_limit) {
-    throw UnsupportedChainError(
-        "dense engine: chain has " + std::to_string(chain.state_count()) +
-        " states, above the dense_state_limit of " +
-        std::to_string(options_.dense_state_limit) +
-        "; use the uniformization engine");
-  }
-
-  stats_ = BackendStats{};
-  stats_.time_points = times.size();
-
-  const linalg::DenseReal q = chain.dense_generator();
-
+  linalg::DenseReal q;
   // Uniform grids repeat the same increment; cache propagators per dt.
   std::vector<std::pair<double, linalg::DenseReal>> propagators;
+  const auto setup = [&] {
+    if (chain.state_count() > options_.dense_state_limit) {
+      throw UnsupportedChainError(
+          "dense engine: chain has " + std::to_string(chain.state_count()) +
+          " states, above the dense_state_limit of " +
+          std::to_string(options_.dense_state_limit) +
+          "; use the uniformization engine");
+    }
+    q = chain.dense_generator();
+    all_states_.resize(chain.state_count());
+    std::iota(all_states_.begin(), all_states_.end(), 0u);
+    return std::span<const std::uint32_t>(all_states_);
+  };
   const auto propagator_for = [&](double dt) -> const linalg::DenseReal& {
     for (const auto& [cached_dt, e] : propagators) {
       if (std::abs(cached_dt - dt) <= 1e-12 * std::max(1.0, dt)) return e;
@@ -44,25 +45,10 @@ std::vector<std::vector<double>> DenseExpmBackend::solve(
     ++stats_.iterations;  // one dense exponential evaluated
     return propagators.back().second;
   };
-
-  std::vector<std::vector<double>> results;
-  results.reserve(times.size());
-
-  std::vector<double> current = initial;
-  double current_time = 0.0;
-  for (std::size_t idx = 0; idx < times.size(); ++idx) {
-    const double dt = times[idx] - current_time;
-    if (dt > 0.0) {
-      current = propagator_for(dt).left_multiply(current);
-      if (options_.renormalize) {
-        linalg::normalize_probability(current);
-      }
-      current_time = times[idx];
-    }
-    if (options_.collect_distributions) results.push_back(current);
-    if (on_point) on_point(idx, times[idx], current);
-  }
-  return results;
+  return march(chain, initial, times, on_point, options_, buffers_, stats_,
+               setup, [&](std::vector<double>& current, double dt) {
+                 current = propagator_for(dt).left_multiply(current);
+               });
 }
 
 }  // namespace kibamrm::engine

@@ -8,7 +8,8 @@
 // per distinct dt.
 //
 // Chains above BackendOptions::dense_state_limit are refused with
-// InvalidArgument; use the uniformization engine there.
+// UnsupportedChainError; use the uniformization engine there.  The loop
+// space is every state, so the march's gather and scatter are copies.
 #pragma once
 
 #include "kibamrm/engine/transient_backend.hpp"
@@ -32,6 +33,8 @@ class DenseExpmBackend final : public TransientBackend {
  private:
   BackendOptions options_;
   BackendStats stats_;
+  std::vector<std::uint32_t> all_states_;  // the loop space
+  MarchBuffers buffers_;
 };
 
 }  // namespace kibamrm::engine

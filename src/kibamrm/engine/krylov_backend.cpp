@@ -100,11 +100,6 @@ KrylovBackend::KrylovBackend(BackendOptions options)
 std::vector<std::vector<double>> KrylovBackend::solve(
     const markov::Ctmc& chain, const std::vector<double>& initial,
     const std::vector<double>& times, const PointCallback& on_point) {
-  markov::check_transient_arguments(chain, initial, times);
-
-  stats_ = BackendStats{};
-  stats_.time_points = times.size();
-
   // Row-vector evolution pi' = pi Q becomes the column problem
   // w' = Q^T w; the transposed matvec is a gather over rows of Q^T, so
   // disjoint row ranges write disjoint outputs and the pool shard is
@@ -118,36 +113,40 @@ std::vector<std::vector<double>> KrylovBackend::solve(
   // the standard full-charge start, which halves every matvec AND every
   // m^2 n orthogonalisation sweep.  The closure is thread-independent,
   // so the bitwise-determinism guarantee is untouched.
-  std::vector<std::uint32_t> seeds;
-  for (std::size_t i = 0; i < initial.size(); ++i) {
-    if (initial[i] != 0.0) seeds.push_back(static_cast<std::uint32_t>(i));
-  }
-  const std::vector<std::uint32_t> reachable =
-      chain.generator().reachable_rows(seeds);
-  const bool compacted = reachable.size() < chain.state_count();
-  const linalg::CsrMatrix qt =
-      compacted ? chain.generator().transposed_submatrix(reachable)
-                : chain.generator().transposed();
-  const std::size_t n = qt.rows();
-  stats_.active_states = n;
-  stats_.active_nonzeros = qt.nonzeros();
-  const linalg::StructureStats structure = linalg::structure_stats(qt);
-  stats_.matrix_bandwidth = structure.bandwidth;
-  stats_.groupable_rows = structure.groupable_rows;
-  stats_.longest_uniform_run = structure.longest_uniform_run;
-  stats_.diagonal_rows = structure.diagonal_rows;
-  stats_.longest_diagonal_run = structure.longest_diagonal_run;
+  std::vector<std::uint32_t> reachable;
+  linalg::CsrMatrix qt(1, 1);  // Q^T over the closure, built by setup
   // ||Q^T||_1 = max_i sum_j |Q(i,j)| = 2 max_i exit_rate(i), exactly, for
   // a generator: the scale of the step-size heuristics.
   const double anorm = 2.0 * chain.max_exit_rate();
-  m_cap_ = std::min<std::size_t>(options_.krylov_dim, n);
-  m_floor_ = std::min(kMinKrylovDim, m_cap_);
-  // Each solve starts at the cap (the fixed-m behaviour) and earns its
-  // way down; the learned dimension persists across the increments of
-  // this solve, like the controller step.
-  current_m_ = m_cap_;
+  const auto setup = [&] {
+    reachable = chain.generator().reachable_rows(support_states(initial));
+    qt = chain.generator().transposed_submatrix(reachable);
+    describe_matrix(qt.nonzeros(), linalg::structure_stats(qt), stats_);
+    const std::size_t n = qt.rows();
+    m_cap_ = std::min<std::size_t>(options_.krylov_dim, n);
+    m_floor_ = std::min(kMinKrylovDim, m_cap_);
+    // Each solve starts at the cap (the fixed-m behaviour) and earns its
+    // way down; the learned dimension persists across the increments of
+    // this solve, like the controller step.
+    current_m_ = m_cap_;
 
-  window_ = ChunkWindow(qt);
+    window_ = ChunkWindow(qt);
+    const std::size_t chunks = window_.chunks();
+    basis_.resize(m_cap_ + 1);
+    for (auto& vector : basis_) vector.assign(n, 0.0);
+    basis_dirty_.assign(m_cap_ + 1, ChunkSpan{});
+    spans_.assign(m_cap_ + 2, ChunkSpan{});
+    row_spans_.assign(m_cap_ + 2, linalg::RowSpan{});
+    hess_ = linalg::DenseReal(m_cap_ + 1, m_cap_);
+    residual_.assign(n, 0.0);
+    residual_dirty_ = {};
+    stepped_.assign(n, 0.0);
+    stepped_dirty_ = {};
+    live_.assign(chunks, 0);
+    chunk_dropped_.assign(chunks, 0.0);
+    previous_tau_ = 0.0;
+    return std::span<const std::uint32_t>(reachable);
+  };
   const auto matvec = [&](const std::vector<double>& in,
                           std::vector<double>& out, linalg::RowSpan rows) {
     const ChunkSpan chunks{rows.begin / markov::kDropChunkRows,
@@ -165,64 +164,12 @@ std::vector<std::vector<double>> KrylovBackend::solve(
     ++stats_.iterations;
     stats_.rows_iterated += rows.end - rows.begin;
   };
-
-  const std::size_t chunks = window_.chunks();
-  basis_.resize(m_cap_ + 1);
-  for (auto& vector : basis_) vector.assign(n, 0.0);
-  basis_dirty_.assign(m_cap_ + 1, ChunkSpan{});
-  spans_.assign(m_cap_ + 2, ChunkSpan{});
-  row_spans_.assign(m_cap_ + 2, linalg::RowSpan{});
-  hess_ = linalg::DenseReal(m_cap_ + 1, m_cap_);
-  residual_.assign(n, 0.0);
-  residual_dirty_ = {};
-  stepped_.assign(n, 0.0);
-  stepped_dirty_ = {};
-  live_.assign(chunks, 0);
-  chunk_dropped_.assign(chunks, 0.0);
-  previous_tau_ = 0.0;
-
-  std::vector<std::vector<double>> results;
-  if (options_.collect_distributions) results.reserve(times.size());
-
-  std::vector<double> current;  // pi(t_k), in closure space
-  if (compacted) {
-    current.resize(n);
-    for (std::size_t i = 0; i < n; ++i) current[i] = initial[reachable[i]];
-    full_point_.assign(initial.size(), 0.0);
-  } else {
-    current = initial;
-  }
-  // Expands the compacted state into full_point_ for results and
-  // callbacks; pass-through without compaction.  Unreachable entries are
-  // zero forever, so only the closure entries are ever rewritten.
-  const auto emit_view =
-      [&](const std::vector<double>& point) -> const std::vector<double>& {
-    if (!compacted) return point;
-    for (std::size_t i = 0; i < n; ++i) {
-      full_point_[reachable[i]] = point[i];
-    }
-    return full_point_;
-  };
-
-  double current_time = 0.0;
-  for (std::size_t idx = 0; idx < times.size(); ++idx) {
-    const double dt = times[idx] - current_time;
-    if (dt > 0.0) {
-      if (anorm > 0.0) {
-        integrate(matvec, current, dt, anorm);
-      }  // all-absorbing generator: exp(Q t) = I, the state carries over
-      if (options_.renormalize) {
-        linalg::normalize_probability(current);
-      }
-      current_time = times[idx];
-    }
-    if (options_.collect_distributions || on_point) {
-      const std::vector<double>& point = emit_view(current);
-      if (options_.collect_distributions) results.push_back(point);
-      if (on_point) on_point(idx, times[idx], point);
-    }
-  }
-  return results;
+  return march(chain, initial, times, on_point, options_, buffers_, stats_,
+               setup, [&](std::vector<double>& current, double dt) {
+                 // An all-absorbing generator has exp(Q t) = I: the state
+                 // carries over.
+                 if (anorm > 0.0) integrate(matvec, current, dt, anorm);
+               });
 }
 
 void KrylovBackend::integrate(const linalg::ArnoldiSpanMatvec& matvec,

@@ -15,9 +15,10 @@
 // geometrically and whole quasi-steady stretches cost a handful of steps.
 //
 // Mechanics per sub-step (EXPOKIT's corrected scheme):
-//   - Arnoldi with modified Gram-Schmidt (linalg/arnoldi); a happy
-//     breakdown at k < m means K_k is invariant and the projected
-//     exponential is exact for the entire remaining increment.
+//   - Arnoldi with classical Gram-Schmidt and selective DGKS
+//     reorthogonalisation (linalg/arnoldi); a happy breakdown at k < m
+//     means K_k is invariant and the projected exponential is exact for
+//     the entire remaining increment.
 //   - The (m+2)-augmented Hessenberg [H | h e_m; 0 | e_{m+1}] is
 //     exponentiated through one linalg::ScaledExpmCache per factorisation,
 //     so rejected trial steps re-use the cached Pade powers and only pay
@@ -126,8 +127,8 @@ class KrylovBackend final : public TransientBackend {
   linalg::DenseReal hess_;
   std::vector<double> residual_;
   std::vector<double> stepped_;
-  std::vector<double> full_point_;  // closure -> full-space emission buffer
   linalg::ArnoldiWorkspace arnoldi_ws_;
+  MarchBuffers buffers_;
   // The mass window over the current solve's Q^T: the live chunks of the
   // state, the spans H_0..H_{m+1} of the next factorisation (and as row
   // ranges), where each buffer may be non-zero, the shard boundaries of

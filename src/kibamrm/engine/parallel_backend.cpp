@@ -9,28 +9,28 @@ ParallelUniformizationBackend::ParallelUniformizationBackend(
     : options_(options),
       name_(name),
       pool_(std::make_unique<common::ThreadPool>(options.threads)),
-      driver_(transient_options(options)),
+      driver_(options.epsilon, options.steady_state_detection),
       executor_(pool_.get()) {}
 
 std::vector<std::vector<double>> ParallelUniformizationBackend::solve(
     const markov::Ctmc& chain, const std::vector<double>& initial,
     const std::vector<double>& times, const PointCallback& on_point) {
-  markov::check_transient_arguments(chain, initial, times);
   const double rate = markov::UniformizationDriver::select_rate(chain);
-  std::vector<std::uint32_t> seeds;
-  for (std::size_t i = 0; i < initial.size(); ++i) {
-    if (initial[i] != 0.0) seeds.push_back(static_cast<std::uint32_t>(i));
-  }
-  const std::shared_ptr<const CachedGatherPlan> cached =
-      options_.plan_cache
-          ? options_.plan_cache->obtain(chain.generator(), rate, seeds)
-          : build_cached_gather_plan(chain.generator(), rate, seeds);
-  executor_.bind(cached);
-
-  stats_ = BackendStats{};
-  cached->describe(stats_);
-  return driver_.run(executor_, rate, cached->reachable, initial, times,
-                     on_point, stats_);
+  std::shared_ptr<const CachedGatherPlan> cached;
+  const auto setup = [&] {
+    const std::vector<std::uint32_t> seeds = support_states(initial);
+    cached = options_.plan_cache
+                 ? options_.plan_cache->obtain(chain.generator(), rate, seeds)
+                 : build_cached_gather_plan(chain.generator(), rate, seeds);
+    executor_.bind(cached);
+    stats_.uniformization_rate = rate;
+    describe_matrix(cached->nonzeros, cached->structure, stats_);
+    return std::span<const std::uint32_t>(cached->reachable);
+  };
+  return march(chain, initial, times, on_point, options_, buffers_, stats_,
+               setup, [&](std::vector<double>& current, double dt) {
+                 driver_.advance(executor_, rate, current, dt, stats_);
+               });
 }
 
 }  // namespace kibamrm::engine

@@ -1,8 +1,9 @@
 // Parallel uniformisation backend: the paper's transient solver with its
 // sparse matrix-vector products sharded across a thread pool.
 //
-// The solve runs markov::UniformizationDriver over a GatherExecutor: the
-// loop works in the compacted reachable closure of the initial support
+// The solve marches the time grid (engine::march) with one
+// markov::UniformizationDriver increment per point over a GatherExecutor:
+// the loop works in the compacted reachable closure of the initial support
 // (expanded battery chains reach only ~half their states from the
 // full-charge start) and gathers over the compacted transpose of P,
 //     next[j] = sum_k P^T(j,k) * power[k]  =  (power * P)[j],
@@ -54,10 +55,11 @@ class ParallelUniformizationBackend final : public TransientBackend {
   std::string_view name_;
   BackendStats stats_;
   std::unique_ptr<common::ThreadPool> pool_;
-  // Fox-Glynn windows (driver) and step vectors (executor), reused
-  // across solve() calls.
+  // Fox-Glynn windows (driver), step vectors (executor) and the march's
+  // loop vectors, reused across solve() calls.
   markov::UniformizationDriver driver_;
   GatherExecutor executor_;
+  MarchBuffers buffers_;
 };
 
 }  // namespace kibamrm::engine

@@ -43,15 +43,6 @@ std::shared_ptr<const CachedGatherPlan> build_cached_gather_plan(
   return cached;
 }
 
-void CachedGatherPlan::describe(markov::TransientStats& stats) const {
-  stats.active_nonzeros = nonzeros;
-  stats.matrix_bandwidth = structure.bandwidth;
-  stats.groupable_rows = structure.groupable_rows;
-  stats.longest_uniform_run = structure.longest_uniform_run;
-  stats.diagonal_rows = structure.diagonal_rows;
-  stats.longest_diagonal_run = structure.longest_diagonal_run;
-}
-
 bool CachedGatherPlan::serves(const linalg::CsrMatrix& generator,
                               std::span<const std::uint32_t> seeds) const {
   if (state_count != generator.rows()) return false;

@@ -8,8 +8,7 @@
 // compacted transpose and the FusedGatherPlan from scratch; this cache
 // keys that immutable setup on a content hash of (generator structure +
 // values, uniformisation rate, initial support) and shares one
-// CachedGatherPlan across every lane and solve that matches -- the first
-// stepping stone toward ROADMAP item 1's cross-request plan cache.
+// CachedGatherPlan across every lane and solve of one batch that matches.
 //
 // Sharing is safe because everything cached is immutable after build:
 // the consuming backends only read the plan (FusedGatherPlan kernels are
@@ -30,7 +29,6 @@
 #include "kibamrm/linalg/csr_matrix.hpp"
 #include "kibamrm/linalg/fused_gather.hpp"
 #include "kibamrm/linalg/permutation.hpp"
-#include "kibamrm/markov/uniformization.hpp"
 
 namespace kibamrm::engine {
 
@@ -68,10 +66,6 @@ struct CachedGatherPlan {
                                                  end);
   }
 
-  /// Writes the iterated matrix's size and structure (active_nonzeros and
-  /// the structure counters) into a solve's stats.
-  void describe(markov::TransientStats& stats) const;
-
   /// The cheap invariants a cache lookup checks before trusting a key
   /// match: `generator` has the plan's state count and every seed lies in
   /// the closure.
@@ -80,8 +74,8 @@ struct CachedGatherPlan {
 };
 
 /// Uniformises `generator` at `rate`, compacts to the reachable closure
-/// of `seeds` and builds the gather plan -- the setup block shared by
-/// markov::TransientSolver and the parallel backend, cache or no cache.
+/// of `seeds` and builds the gather plan -- the setup of every
+/// uniformisation solve, cache or no cache.
 std::shared_ptr<const CachedGatherPlan> build_cached_gather_plan(
     const linalg::CsrMatrix& generator, double rate,
     std::span<const std::uint32_t> seeds);

@@ -39,7 +39,6 @@ std::vector<ScenarioResult> ScenarioBatch::solve_all(
       std::make_shared<GatherPlanCache>();
   const BackendOptions backend_options{
       .epsilon = options_.epsilon,
-      .dense_state_limit = options_.dense_state_limit,
       .threads = 1,
       // Batches stream Pr{empty} through the callback; the distributions
       // themselves are never materialised.
@@ -68,16 +67,11 @@ std::vector<ScenarioResult> ScenarioBatch::solve_all(
         const auto start = std::chrono::steady_clock::now();
         const core::ExpandedChain expanded = core::build_expanded_chain(
             scenario.model, scenario.delta, ordering);
-        result.stats.engine = options_.engine;
-        result.stats.reorder = core::state_ordering_name(expanded.ordering);
-        result.stats.expanded_states = expanded.grid.state_count();
-        result.stats.generator_nonzeros =
-            expanded.chain.generator().nonzeros();
+        BackendStats solved;  // stays empty when the solve throws
         try {
           result.curve = core::solve_empty_probability_curve(
               expanded, *scratch.backend, scenario.times, options_.epsilon);
-          core::absorb_backend_stats(result.stats,
-                                     scratch.backend->last_stats());
+          solved = scratch.backend->last_stats();
         } catch (const UnsupportedChainError& error) {
           result.skipped = true;
           result.skip_reason = error.what();
@@ -88,6 +82,8 @@ std::vector<ScenarioResult> ScenarioBatch::solve_all(
           result.failed = true;
           result.failure_reason = error.what();
         }
+        result.stats =
+            core::approximation_stats(expanded, options_.engine, solved);
         result.wall_seconds = std::chrono::duration<double>(
                                   std::chrono::steady_clock::now() - start)
                                   .count();

@@ -88,8 +88,6 @@ struct ScenarioBatchOptions {
   std::string engine = "uniformization";
   /// Accuracy knob forwarded to the backend.
   double epsilon = 1e-10;
-  /// Refusal threshold forwarded to the dense engine.
-  std::size_t dense_state_limit = 1024;
   /// Scenario-level concurrency (pool lanes); 0 auto-detects hardware.
   /// Every lane's engine runs on one lane itself, so batch x engine
   /// parallelism never oversubscribes.

@@ -27,18 +27,22 @@
 //                     not with the spectral radius that bloats the
 //                     Poisson window
 //
-// New backends (GPU, MPI) register through register_backend() without
-// another restructure of the call sites.
+// Every engine runs the same time-grid march (march() below) and supplies
+// only its loop space and one increment.  New backends (GPU, MPI) register
+// through register_backend() without another restructure of the call
+// sites.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "kibamrm/common/error.hpp"
+#include "kibamrm/linalg/permutation.hpp"
 #include "kibamrm/markov/ctmc.hpp"
 #include "kibamrm/markov/uniformization.hpp"
 
@@ -145,7 +149,8 @@ struct BackendStats : markov::TransientStats {
 /// Called with (index, time, distribution) as soon as each requested time
 /// point is ready; curve consumers stream points this way instead of
 /// holding all distributions.
-using PointCallback = markov::PointCallback;
+using PointCallback =
+    std::function<void(std::size_t, double, const std::vector<double>&)>;
 
 /// Interface of a transient CTMC solver.  Implementations are stateless
 /// between solve() calls except for last_stats() and internal scratch.
@@ -156,9 +161,10 @@ class TransientBackend {
   /// Registry name of this backend ("uniformization", "parallel", ...).
   virtual std::string_view name() const = 0;
 
-  /// Computes pi(t) for each t in `times` (sorted ascending, >= 0) starting
-  /// from the distribution `initial`.  Returns one distribution per time
-  /// point and invokes `on_point` incrementally when given.
+  /// Computes pi(t) for each t in `times` (finite, sorted ascending, >= 0;
+  /// InvalidArgument otherwise) starting from the distribution `initial`.
+  /// Returns one distribution per time point and invokes `on_point`
+  /// incrementally when given.
   virtual std::vector<std::vector<double>> solve(
       const markov::Ctmc& chain, const std::vector<double>& initial,
       const std::vector<double>& times,
@@ -168,8 +174,51 @@ class TransientBackend {
   virtual const BackendStats& last_stats() const = 0;
 };
 
-/// The uniformisation-driver settings carried by `options`.
-markov::TransientOptions transient_options(const BackendOptions& options);
+/// pi(t_k) in an engine's loop space and the full-dimension emission
+/// buffer.  Each engine keeps one across solve() calls, so the scenarios a
+/// ScenarioBatch lane solves reuse its capacity.
+struct MarchBuffers {
+  std::vector<double> current;
+  std::vector<double> full_point;
+};
+
+/// Builds an engine's per-solve state once march() has validated the
+/// arguments and returns its loop space: the sorted full-chain states the
+/// loop iterates, valid until march() returns.
+using MarchSetup = std::function<std::span<const std::uint32_t>()>;
+
+/// Advances `current`, pi(t_k) in the loop space, by one increment dt > 0.
+using MarchAdvance =
+    std::function<void(std::vector<double>& current, double dt)>;
+
+/// The time-grid march every engine runs (the paper's chain of transient
+/// increments, Sec. 5).  Throws InvalidArgument unless `initial` is a
+/// probability distribution over the chain's states and `times` are
+/// finite, non-negative and sorted.  Then it resets `stats` (time_points,
+/// and active_states from the loop space `setup` returns), gathers
+/// `initial` into the loop space, and per time point advances by the
+/// increment since the previous one -- nothing for a repeated point --,
+/// renormalises when options.renormalize, and scatters the point back to
+/// the full space for the results (options.collect_distributions) and
+/// `on_point`.  Full-space entries outside the loop space stay zero, so
+/// the loop space must hold every state reachable from the initial
+/// support.
+std::vector<std::vector<double>> march(
+    const markov::Ctmc& chain, const std::vector<double>& initial,
+    const std::vector<double>& times, const PointCallback& on_point,
+    const BackendOptions& options, MarchBuffers& buffers, BackendStats& stats,
+    const MarchSetup& setup, const MarchAdvance& advance);
+
+/// States where `distribution` is non-zero (or NaN): the seeds of a
+/// reachable closure.
+std::vector<std::uint32_t> support_states(
+    const std::vector<double>& distribution);
+
+/// Writes the iterated matrix's size and structure (active_nonzeros and
+/// the structure counters) into a solve's stats.
+void describe_matrix(std::uint64_t nonzeros,
+                     const linalg::StructureStats& structure,
+                     BackendStats& stats);
 
 /// Factory signature for register_backend().
 using BackendFactory =

@@ -56,6 +56,10 @@ double poisson_tail(double lambda, std::uint64_t n, double epsilon) {
 
 PoissonWindow fox_glynn(double lambda, double epsilon) {
   KIBAMRM_REQUIRE(lambda >= 0.0, "fox_glynn: lambda must be >= 0");
+  // The mode is an integer and the upward walk stops once n + 1 exceeds
+  // lambda; past 2^53 doubles no longer step by one, so neither holds.
+  KIBAMRM_REQUIRE(lambda < 0x1p53,
+                  "fox_glynn: lambda must be finite and below 2^53");
   KIBAMRM_REQUIRE(epsilon > 0.0 && epsilon < 1.0,
                   "fox_glynn: epsilon must lie in (0,1)");
 

@@ -40,8 +40,8 @@ struct PoissonWindow {
 
 /// Computes the truncation window for Poisson(lambda) with total dropped
 /// mass at most epsilon (split between both tails).  lambda == 0 yields the
-/// degenerate window {0} with weight 1.  Throws InvalidArgument for negative
-/// lambda or epsilon outside (0, 1).
+/// degenerate window {0} with weight 1.  Throws InvalidArgument for lambda
+/// negative, NaN, infinite or at least 2^53, or epsilon outside (0, 1).
 PoissonWindow fox_glynn(double lambda, double epsilon);
 
 /// Memoised Fox-Glynn windows, keyed by (lambda, epsilon).

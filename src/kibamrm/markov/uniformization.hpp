@@ -12,14 +12,15 @@
 // costs about as many matrix-vector products as its final time point alone
 // (q * t_max plus a Fox-Glynn window per point).
 //
-// Every uniformisation engine runs the one loop in UniformizationDriver: it
-// owns the Poisson windows (memoised per (lambda, epsilon), so uniform time
-// grids compute one window per curve), the per-step weights, steady-state
-// detection with its residual-tail fold, iteration accounting,
-// renormalisation and point emission.  How one DTMC step executes --
-// inline or sharded over a thread pool -- is a StepExecutor
-// (engine::GatherExecutor; the driver tests substitute scripted ones).
-// TransientSolver is the driver plus the inline executor.
+// UniformizationDriver::advance takes one such increment: it owns the
+// Poisson windows (memoised per (lambda, epsilon), so uniform time grids
+// compute one window per curve), the per-step weights, steady-state
+// detection with its residual-tail fold and iteration accounting.  How one
+// DTMC step executes -- inline or sharded over a thread pool -- is a
+// StepExecutor (the engine layer's gather executor; the driver tests
+// substitute scripted ones).  The time-grid march around the increments --
+// argument validation, renormalisation and point emission -- belongs to
+// the engine layer, which shares it with its non-uniformisation engines.
 //
 // Mass window.  The probability mass of the expanded battery chains moves
 // as a blob, at most one charge level per step, so most rows of the loop
@@ -41,50 +42,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
-#include <span>
 #include <vector>
 
 #include "kibamrm/markov/ctmc.hpp"
 #include "kibamrm/markov/fox_glynn.hpp"
 
-namespace kibamrm::engine {
-struct CachedGatherPlan;  // engine/plan_cache.hpp
-class GatherExecutor;     // engine/gather_executor.hpp
-}  // namespace kibamrm::engine
-
 namespace kibamrm::markov {
-
-struct TransientOptions {
-  /// Total truncation error budget per time increment.
-  double epsilon = 1e-10;
-  /// Uniformisation rate; 0 selects 1.02 * max_exit_rate automatically.
-  /// (A rate slightly above the maximum keeps the diagonal of P positive,
-  /// which damps oscillation in stiff chains.)  Read by TransientSolver
-  /// only; the engines always select the rate automatically.
-  double uniformization_rate = 0.0;
-  /// Re-normalise the distribution after every time increment to counter
-  /// accumulated round-off on long curves.
-  bool renormalize = true;
-  /// When false, solve() returns an empty vector: callers that stream
-  /// points through the callback skip the time_points * states copy.
-  bool collect_results = true;
-  /// Steady-state / absorption early termination: once
-  /// (window.right - n) * ||pi P^n - pi P^(n-1)||_inf <= epsilon / 2 on two
-  /// consecutive steps, the rest of the window is short-circuited by
-  /// adding the entire residual tail mass times the converged vector.
-  /// This is the classic PRISM/MRMC steady-state heuristic with a
-  /// budgeted bound in place of the usual absolute cut, charged against
-  /// the same per-increment budget as the Fox-Glynn truncation: exact when
-  /// the per-step changes keep shrinking (they do once the chain has
-  /// settled; a row-stochastic P does not contract the sup norm in
-  /// general, which is why the consecutive-step guard and the
-  /// detection-on/off agreement tests back the bound empirically).  On
-  /// long horizons of absorbing chains (the battery-empty tail of Fig. 8)
-  /// this skips most of the window.
-  bool steady_state_detection = true;
-};
 
 /// Cost counters for complexity experiments (Sec. 5.3 / Sec. 6.1 quote
 /// iteration counts; bench/ablation_complexity reproduces them).
@@ -103,7 +66,8 @@ struct TransientStats {
   std::uint64_t windows_computed = 0;
   std::uint64_t windows_reused = 0;
   /// States inside the reachable closure of the initial distribution --
-  /// the dimension the loop actually iterates.
+  /// the dimension the loop actually iterates (every state for the dense
+  /// engine).
   std::uint64_t active_states = 0;
   /// Stored entries of the matrix the loop actually iterates (the
   /// compacted transpose) -- the honest per-iteration work unit for
@@ -160,14 +124,9 @@ void drop_cold_chunks(double* v, std::size_t rows, std::size_t chunk_begin,
                       std::size_t chunk_end, double threshold,
                       double* dropped, std::uint8_t* live);
 
-/// Called with (index, time, distribution) as soon as each requested time
-/// point is ready.
-using PointCallback =
-    std::function<void(std::size_t, double, const std::vector<double>&)>;
-
 /// The vector work of one uniformisation increment, in the compacted
 /// state space of the reachable closure.  An engine implements only this;
-/// UniformizationDriver decides everything else.
+/// UniformizationDriver decides everything else about the increment.
 class StepExecutor {
  public:
   virtual ~StepExecutor() = default;
@@ -201,80 +160,47 @@ class StepExecutor {
   virtual IncrementWork increment_work() const = 0;
 };
 
-/// The one uniformisation loop (see the file comment).
+/// The one uniformisation increment (see the file comment).
 class UniformizationDriver {
  public:
-  /// Throws InvalidArgument unless options.epsilon lies in (0, 1).
-  explicit UniformizationDriver(TransientOptions options);
+  /// `epsilon` is the truncation error budget per time increment; throws
+  /// InvalidArgument unless it lies in (0, 1).
+  ///
+  /// `steady_state_detection` enables early termination: once
+  /// (window.right - n) * ||pi P^n - pi P^(n-1)||_inf <= epsilon / 2 on two
+  /// consecutive steps, the rest of the window is short-circuited by
+  /// adding the entire residual tail mass times the converged vector.
+  /// This is the classic PRISM/MRMC steady-state heuristic with a
+  /// budgeted bound in place of the usual absolute cut, charged against
+  /// the same per-increment budget as the Fox-Glynn truncation: exact when
+  /// the per-step changes keep shrinking (they do once the chain has
+  /// settled; a row-stochastic P does not contract the sup norm in
+  /// general, which is why the consecutive-step guard and the
+  /// detection-on/off agreement tests back the bound empirically).  On
+  /// long horizons of absorbing chains (the battery-empty tail of Fig. 8)
+  /// this skips most of the window.
+  UniformizationDriver(double epsilon, bool steady_state_detection);
 
-  /// The uniformisation rate for `chain`: `requested`, or 1.02 *
-  /// max_exit_rate when 0 (1 for an all-absorbing generator).  Throws
-  /// InvalidArgument when it falls below the maximal exit rate.
-  static double select_rate(const Ctmc& chain, double requested = 0.0);
+  /// The uniformisation rate for `chain`: 1.02 * max_exit_rate (1 for an
+  /// all-absorbing generator).  A rate slightly above the maximum keeps
+  /// the diagonal of P positive, which damps oscillation in stiff chains.
+  static double select_rate(const Ctmc& chain);
 
-  /// Solves pi(t) for each t in `times` (sorted, validated by the caller)
-  /// through `executor`.  `reachable` maps compact loop indices to full
-  /// states; `initial` and emitted points are full-dimension.  Writes the
-  /// loop counters (iterations, savings, windows, time points, rate,
-  /// active states, rows iterated, dropped mass) into `stats` and leaves
-  /// its other fields alone.
-  std::vector<std::vector<double>> run(StepExecutor& executor, double rate,
-                                       std::span<const std::uint32_t> reachable,
-                                       const std::vector<double>& initial,
-                                       const std::vector<double>& times,
-                                       const PointCallback& on_point,
-                                       TransientStats& stats);
+  /// Advances `current`, pi(t_k) in the executor's loop space, by one
+  /// increment of length dt > 0 at uniformisation rate `rate` through
+  /// `executor`: the increment's Poisson window, load, steps, detection,
+  /// fold and read_back.  Adds the increment's counters (iterations,
+  /// savings, detection hits, windows computed or reused, rows iterated,
+  /// dropped mass) to `stats` and leaves its other fields alone.
+  void advance(StepExecutor& executor, double rate,
+               std::vector<double>& current, double dt,
+               TransientStats& stats);
 
  private:
-  TransientOptions options_;
-  // Fox-Glynn windows memoised across increments and run() calls.
+  double epsilon_;
+  bool steady_state_detection_;
+  // Fox-Glynn windows memoised across increments and solves.
   UniformizationPlan plan_;
-  std::vector<double> current_;     // pi(t_k) in loop space
-  std::vector<double> full_point_;  // emission buffer, full dimension
 };
-
-/// Computes pi(t) for each t in `times` (must be sorted ascending, >= 0).
-/// Returns one distribution per time point.  `on_point`, when given, is
-/// called with (index, time, distribution) as soon as each point is ready --
-/// the bench harness streams curve points this way.
-class TransientSolver {
- public:
-  explicit TransientSolver(const Ctmc& chain, TransientOptions options = {});
-  ~TransientSolver();
-
-  std::vector<std::vector<double>> solve(
-      const std::vector<double>& initial, const std::vector<double>& times,
-      const PointCallback& on_point = nullptr);
-
-  const TransientStats& last_stats() const { return stats_; }
-
- private:
-  const Ctmc& chain_;
-  double rate_;
-  UniformizationDriver driver_;
-  // Reachable closure + compacted transpose + packed kernel plan, rebuilt
-  // only when a new initial escapes the cached closure (grown
-  // monotonically, so earlier initials stay covered).
-  std::shared_ptr<const engine::CachedGatherPlan> plan_;
-  std::unique_ptr<engine::GatherExecutor> executor_;
-  TransientStats stats_;
-};
-
-/// Validates a transient solve's arguments: `initial` is a probability
-/// distribution over the chain's states and `times` are sorted and
-/// non-negative.  Throws InvalidArgument otherwise.
-void check_transient_arguments(const Ctmc& chain,
-                               const std::vector<double>& initial,
-                               const std::vector<double>& times);
-
-/// One-shot convenience: transient distribution at a single time point.
-/// Thin wrapper over TransientSolver that pays the full construction cost
-/// on every call -- callers that solve the same chain at several times
-/// should construct one TransientSolver and reuse it (or pass all times to
-/// one solve()).
-std::vector<double> transient_distribution(const Ctmc& chain,
-                                           const std::vector<double>& initial,
-                                           double time,
-                                           TransientOptions options = {});
 
 }  // namespace kibamrm::markov

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <memory>
 
 #include "kibamrm/common/error.hpp"
@@ -11,6 +13,7 @@
 #include "kibamrm/core/expanded_ctmc.hpp"
 #include "kibamrm/engine/transient_backend.hpp"
 #include "kibamrm/linalg/vector_ops.hpp"
+#include "kibamrm/markov/ctmc.hpp"
 #include "kibamrm/workload/onoff_model.hpp"
 #include "kibamrm/workload/simple_model.hpp"
 
@@ -148,6 +151,51 @@ TEST(EngineBackends, AgreeOnFig8KibamScenario) {
   // And the curve is the physically sensible one: complete rise.
   EXPECT_LT(curves.front().probabilities().front(), 0.05);
   EXPECT_GT(curves.front().probabilities().back(), 0.99);
+}
+
+// Bit-for-bit equality, so a -0.0 or a differently rounded copy shows.
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(EngineBackends, EveryEngineKeepsTheMarchContract) {
+  const markov::Ctmc chain =
+      markov::ctmc_from_rates({{0.0, 2.0}, {0.5, 0.0}});
+  const std::vector<double> initial = {0.3, 0.7};
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::vector<double>> bad_grids = {
+      {2.0, 1.0}, {-1.0}, {1.0, nan, 2.0}, {nan}, {1.0, inf}, {-inf, 1.0}};
+  for (const std::string& name : kBuiltins) {
+    auto backend = make_backend(name);
+    EXPECT_THROW(backend->solve(chain, {1.0}, {1.0}), InvalidArgument)
+        << name;
+    EXPECT_THROW(backend->solve(chain, {0.7, 0.7}, {1.0}), InvalidArgument)
+        << name;
+    for (const std::vector<double>& times : bad_grids) {
+      EXPECT_THROW(backend->solve(chain, initial, times), InvalidArgument)
+          << name << " accepted " << ::testing::PrintToString(times);
+    }
+
+    backend->solve(chain, initial, {0.0, 1.5});
+    const std::uint64_t single_iterations = backend->last_stats().iterations;
+    std::vector<std::size_t> indices;
+    std::vector<std::vector<double>> points;
+    const auto results = backend->solve(
+        chain, initial, {0.0, 1.5, 1.5},
+        [&](std::size_t index, double, const std::vector<double>& pi) {
+          indices.push_back(index);
+          points.push_back(pi);
+        });
+    EXPECT_EQ(indices, (std::vector<std::size_t>{0, 1, 2})) << name;
+    ASSERT_EQ(points.size(), 3u) << name;
+    ASSERT_EQ(results.size(), 3u) << name;
+    EXPECT_TRUE(same_bits(points[0], initial)) << name;
+    EXPECT_TRUE(same_bits(points[2], points[1])) << name;
+    EXPECT_TRUE(same_bits(results[2], points[1])) << name;
+    EXPECT_EQ(backend->last_stats().iterations, single_iterations) << name;
+  }
 }
 
 TEST(EngineBackends, DenseRefusesChainsAboveLimit) {

@@ -389,13 +389,13 @@ TEST(KernelDispatch, BackendConstructionKeepsPin) {
 
 TEST(ScenarioBatch, SkipsUnsupportedChainsWithoutAborting) {
   const auto times = core::uniform_grid(6000.0, 20000.0, 5);
-  // Delta = 450 fits under the dense limit below, Delta = 100 does not.
+  // Delta = 450 fits under the dense engine's default state limit of 1024,
+  // Delta = 100 does not.
   std::vector<Scenario> scenarios = {
       {"coarse", fig8_kibam(), 450.0, times},
       {"fine", fig8_kibam(), 100.0, times},
   };
-  ScenarioBatch batch({.engine = "dense", .dense_state_limit = 200,
-                       .threads = 2});
+  ScenarioBatch batch({.engine = "dense", .threads = 2});
   const auto results = batch.solve_all(scenarios);
   ASSERT_EQ(results.size(), 2u);
   EXPECT_TRUE(results[0].curve.has_value());

@@ -22,7 +22,6 @@
 #include "kibamrm/linalg/csr_matrix.hpp"
 #include "kibamrm/linalg/permutation.hpp"
 #include "kibamrm/markov/ctmc.hpp"
-#include "kibamrm/markov/uniformization.hpp"
 #include "kibamrm/workload/onoff_model.hpp"
 
 namespace kibamrm {
@@ -177,16 +176,17 @@ TEST(Permutation, TransientDistributionInvariantUnderAnyPermutation) {
       core::build_expanded_chain(fig8_model(), 100.0,
                                  core::StateOrdering::kNone);
   const std::size_t n = expanded.chain.state_count();
-  const markov::TransientOptions options{.epsilon = 1e-10};
-  markov::TransientSolver reference(expanded.chain, options);
-  const auto base = reference.solve(expanded.initial, {9000.0}).front();
+  const engine::BackendOptions options{.epsilon = 1e-10};
+  const auto solver = engine::make_backend("uniformization", options);
+  const auto base =
+      solver->solve(expanded.chain, expanded.initial, {9000.0}).front();
 
   for (const unsigned seed : {5u, 6u}) {
     const Permutation p = random_permutation(n, seed);
     const markov::Ctmc permuted_chain(p.permuted(expanded.chain.generator()));
-    markov::TransientSolver solver(permuted_chain, options);
     const auto permuted =
-        solver.solve(p.apply(expanded.initial), {9000.0}).front();
+        solver->solve(permuted_chain, p.apply(expanded.initial), {9000.0})
+            .front();
     const auto back = p.apply_inverse(permuted);
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_NEAR(back[i], base[i], 10.0 * options.epsilon)

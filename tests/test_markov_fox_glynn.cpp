@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "kibamrm/common/error.hpp"
 #include "kibamrm/markov/fox_glynn.hpp"
@@ -38,6 +39,12 @@ TEST(FoxGlynn, RejectsBadArguments) {
   EXPECT_THROW(fox_glynn(-1.0, 1e-10), InvalidArgument);
   EXPECT_THROW(fox_glynn(1.0, 0.0), InvalidArgument);
   EXPECT_THROW(fox_glynn(1.0, 1.5), InvalidArgument);
+  // Lambdas whose upward walk from the mode could never stop.
+  EXPECT_THROW(fox_glynn(std::numeric_limits<double>::infinity(), 1e-10),
+               InvalidArgument);
+  EXPECT_THROW(fox_glynn(1e300, 1e-10), InvalidArgument);
+  EXPECT_THROW(fox_glynn(0x1p53, 1e-10), InvalidArgument);
+  EXPECT_THROW(fox_glynn(std::nan(""), 1e-10), InvalidArgument);
 }
 
 class FoxGlynnLambdaTest : public ::testing::TestWithParam<double> {};

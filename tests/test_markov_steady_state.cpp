@@ -4,9 +4,9 @@
 #include <vector>
 
 #include "kibamrm/common/error.hpp"
+#include "kibamrm/engine/transient_backend.hpp"
 #include "kibamrm/linalg/vector_ops.hpp"
 #include "kibamrm/markov/steady_state.hpp"
-#include "kibamrm/markov/uniformization.hpp"
 
 namespace kibamrm::markov {
 namespace {
@@ -37,7 +37,9 @@ TEST(SteadyState, MatchesLongRunTransient) {
                                       {0.4, 0.0, 2.0},
                                       {1.5, 0.7, 0.0}});
   const auto pi = steady_state(chain);
-  const auto transient = transient_distribution(chain, {1.0, 0.0, 0.0}, 200.0);
+  const auto transient = engine::make_backend("uniformization")
+                             ->solve(chain, {1.0, 0.0, 0.0}, {200.0})
+                             .front();
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_NEAR(pi[i], transient[i], 1e-8) << "state " << i;
   }

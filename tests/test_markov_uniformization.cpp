@@ -4,12 +4,14 @@
 
 #include <cmath>
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
-#include "kibamrm/common/error.hpp"
 #include "kibamrm/engine/gather_executor.hpp"
 #include "kibamrm/engine/plan_cache.hpp"
+#include "kibamrm/engine/transient_backend.hpp"
 #include "kibamrm/linalg/csr_matrix.hpp"
 #include "kibamrm/linalg/expm.hpp"
 #include "kibamrm/linalg/vector_ops.hpp"
@@ -30,16 +32,28 @@ double two_state_p0(double a, double b, double t) {
   return b / (a + b) + a / (a + b) * std::exp(-(a + b) * t);
 }
 
+const double kEpsilon = engine::BackendOptions{}.epsilon;
+
+std::unique_ptr<engine::TransientBackend> uniformization(
+    const engine::BackendOptions& options = {}) {
+  return engine::make_backend("uniformization", options);
+}
+
+// pi(t) from a one-shot solve.
+std::vector<double> transient_at(const Ctmc& chain,
+                                 const std::vector<double>& initial,
+                                 double t) {
+  return uniformization()->solve(chain, initial, {t}).front();
+}
+
 TEST(Uniformization, TwoStateMatchesClosedForm) {
   const double a = 2.0;
   const double b = 0.5;
   const Ctmc chain = two_state(a, b);
-  // One solver for the whole grid: repeated one-shot
-  // transient_distribution() calls would rebuild the uniformised matrix
-  // per time point.
-  TransientSolver solver(chain);
+  // One solve for the whole grid: repeated one-shot solves would rebuild
+  // the uniformised matrix per time point.
   const std::vector<double> times = {0.0, 0.1, 0.5, 1.0, 5.0, 50.0};
-  const auto curves = solver.solve({1.0, 0.0}, times);
+  const auto curves = uniformization()->solve(chain, {1.0, 0.0}, times);
   for (std::size_t k = 0; k < times.size(); ++k) {
     EXPECT_NEAR(curves[k][0], two_state_p0(a, b, times[k]), 1e-9)
         << "t=" << times[k];
@@ -55,7 +69,7 @@ TEST(Uniformization, MatchesDenseMatrixExponential) {
                                       {1.5, 0.0, 0.2, 0.0}});
   const std::vector<double> alpha = {0.25, 0.25, 0.25, 0.25};
   const double t = 1.7;
-  const auto pi = transient_distribution(chain, alpha, t);
+  const auto pi = transient_at(chain, alpha, t);
   const linalg::DenseReal e = linalg::expm(chain.dense_generator().scaled(t));
   const std::vector<double> expected = e.left_multiply(alpha);
   for (std::size_t i = 0; i < 4; ++i) {
@@ -65,36 +79,34 @@ TEST(Uniformization, MatchesDenseMatrixExponential) {
 
 TEST(Uniformization, TimeZeroReturnsInitial) {
   const Ctmc chain = two_state(1.0, 1.0);
-  const auto pi = transient_distribution(chain, {0.3, 0.7}, 0.0);
+  const auto pi = transient_at(chain, {0.3, 0.7}, 0.0);
   EXPECT_DOUBLE_EQ(pi[0], 0.3);
   EXPECT_DOUBLE_EQ(pi[1], 0.7);
 }
 
 TEST(Uniformization, IncrementalMultiPointMatchesOneShot) {
   const Ctmc chain = two_state(3.0, 0.7);
-  TransientSolver solver(chain);
   const std::vector<double> times = {0.25, 0.5, 1.0, 2.0, 4.0};
-  const auto curves = solver.solve({1.0, 0.0}, times);
+  const auto curves = uniformization()->solve(chain, {1.0, 0.0}, times);
   for (std::size_t k = 0; k < times.size(); ++k) {
-    const auto direct = transient_distribution(chain, {1.0, 0.0}, times[k]);
+    const auto direct = transient_at(chain, {1.0, 0.0}, times[k]);
     EXPECT_NEAR(curves[k][0], direct[0], 1e-9) << "t=" << times[k];
   }
 }
 
 TEST(Uniformization, RepeatedTimePointsAllowed) {
   const Ctmc chain = two_state(1.0, 2.0);
-  TransientSolver solver(chain);
-  const auto curves = solver.solve({1.0, 0.0}, {1.0, 1.0, 1.0});
+  const auto curves =
+      uniformization()->solve(chain, {1.0, 0.0}, {1.0, 1.0, 1.0});
   EXPECT_NEAR(curves[0][0], curves[2][0], 1e-15);
 }
 
 TEST(Uniformization, AbsorbingChainAccumulatesMass) {
   // 0 -> 1 at rate 2, state 1 absorbing: pi_1(t) = 1 - e^{-2t}.  One
-  // reusable solver instead of a one-shot rebuild per time point.
+  // solve over the grid instead of a one-shot rebuild per time point.
   const Ctmc chain = ctmc_from_rates({{0.0, 2.0}, {0.0, 0.0}});
-  TransientSolver solver(chain);
   const std::vector<double> times = {0.1, 1.0, 3.0};
-  const auto curves = solver.solve({1.0, 0.0}, times);
+  const auto curves = uniformization()->solve(chain, {1.0, 0.0}, times);
   for (std::size_t k = 0; k < times.size(); ++k) {
     EXPECT_NEAR(curves[k][1], 1.0 - std::exp(-2.0 * times[k]), 1e-10);
   }
@@ -102,7 +114,7 @@ TEST(Uniformization, AbsorbingChainAccumulatesMass) {
 
 TEST(Uniformization, AllAbsorbingChainIsConstant) {
   const Ctmc chain = ctmc_from_rates({{0.0, 0.0}, {0.0, 0.0}});
-  const auto pi = transient_distribution(chain, {0.4, 0.6}, 10.0);
+  const auto pi = transient_at(chain, {0.4, 0.6}, 10.0);
   EXPECT_NEAR(pi[0], 0.4, 1e-12);
   EXPECT_NEAR(pi[1], 0.6, 1e-12);
 }
@@ -116,7 +128,7 @@ TEST(Uniformization, ErlangAbsorptionProbability) {
                                       {0.0, 0.0, 0.0, r},
                                       {0.0, 0.0, 0.0, 0.0}});
   const double t = 0.8;
-  const auto pi = transient_distribution(chain, {1.0, 0.0, 0.0, 0.0}, t);
+  const auto pi = transient_at(chain, {1.0, 0.0, 0.0, 0.0}, t);
   const double x = r * t;
   const double erlang3 =
       1.0 - std::exp(-x) * (1.0 + x + x * x / 2.0);
@@ -125,40 +137,21 @@ TEST(Uniformization, ErlangAbsorptionProbability) {
 
 TEST(Uniformization, LongHorizonReachesSteadyState) {
   const Ctmc chain = two_state(2.0, 6.0);
-  const auto pi = transient_distribution(chain, {0.0, 1.0}, 500.0);
+  const auto pi = transient_at(chain, {0.0, 1.0}, 500.0);
   EXPECT_NEAR(pi[0], 0.75, 1e-9);
   EXPECT_NEAR(pi[1], 0.25, 1e-9);
 }
 
 TEST(Uniformization, StatsReportIterationsAndRate) {
   const Ctmc chain = two_state(1.0, 1.0);
-  TransientSolver solver(chain);
-  solver.solve({1.0, 0.0}, {10.0});
-  const TransientStats& stats = solver.last_stats();
+  const auto solver = uniformization();
+  solver->solve(chain, {1.0, 0.0}, {10.0});
+  const TransientStats& stats = solver->last_stats();
   EXPECT_GT(stats.iterations, 5u);   // ~ q t = 1.02 * 10 plus window
   EXPECT_LT(stats.iterations, 200u);
   // Auto rate is 1.02 * max_exit_rate = 1.02 * 1.0.
   EXPECT_NEAR(stats.uniformization_rate, 1.02, 0.01);
   EXPECT_EQ(stats.time_points, 1u);
-}
-
-TEST(Uniformization, CustomUniformizationRateAccepted) {
-  const Ctmc chain = two_state(1.0, 1.0);
-  TransientSolver fast(chain, {.uniformization_rate = 10.0});
-  const auto pi = fast.solve({1.0, 0.0}, {1.0}).front();
-  EXPECT_NEAR(pi[0], two_state_p0(1.0, 1.0, 1.0), 1e-9);
-}
-
-TEST(Uniformization, RejectsBadInputs) {
-  const Ctmc chain = two_state(1.0, 1.0);
-  TransientSolver solver(chain);
-  const std::vector<double> good = {1.0, 0.0};
-  EXPECT_THROW(solver.solve({1.0}, {1.0}), InvalidArgument);        // dim
-  EXPECT_THROW(solver.solve({0.7, 0.7}, {1.0}), InvalidArgument);   // not dist
-  EXPECT_THROW(solver.solve(good, {2.0, 1.0}), InvalidArgument);    // unsorted
-  EXPECT_THROW(solver.solve(good, {-1.0}), InvalidArgument);        // negative
-  EXPECT_THROW(TransientSolver(chain, {.uniformization_rate = 0.5}),
-               InvalidArgument);  // rate below max exit rate
 }
 
 TEST(Uniformization, FusedMatchesDenseExpmOracle) {
@@ -171,8 +164,7 @@ TEST(Uniformization, FusedMatchesDenseExpmOracle) {
                                       {1.5, 0.0, 0.2, 0.0}});
   const std::vector<double> initial = {0.25, 0.25, 0.25, 0.25};
   const std::vector<double> times = {0.5, 1.7, 4.0, 12.0};
-  TransientSolver solver(chain);
-  const auto curves = solver.solve(initial, times);
+  const auto curves = uniformization()->solve(chain, initial, times);
   for (std::size_t k = 0; k < times.size(); ++k) {
     const std::vector<double> expected =
         linalg::expm(chain.dense_generator().scaled(times[k]))
@@ -186,30 +178,30 @@ TEST(Uniformization, SteadyStateDetectionSkipsConvergedTail) {
   // two_state(2, 6) relaxes fast (second DTMC eigenvalue ~0.02), so a
   // long-horizon window is almost entirely converged tail.
   const Ctmc chain = two_state(2.0, 6.0);
-  TransientSolver solver(chain);
-  const auto pi = solver.solve({0.0, 1.0}, {500.0}).front();
+  const auto solver = uniformization();
+  const auto pi = solver->solve(chain, {0.0, 1.0}, {500.0}).front();
   EXPECT_NEAR(pi[0], 0.75, 1e-9);
   EXPECT_NEAR(pi[1], 0.25, 1e-9);
-  const TransientStats& stats = solver.last_stats();
+  const TransientStats& stats = solver->last_stats();
   EXPECT_GT(stats.iterations_saved, stats.iterations)
       << "most of the ~4000-term window should be short-circuited";
   EXPECT_EQ(stats.steady_state_hits, 1u);
   // iterations + iterations_saved always equals the full window term
   // count, so the accounting is closed.
-  TransientSolver no_detect(chain, {.steady_state_detection = false});
-  no_detect.solve({0.0, 1.0}, {500.0});
+  const auto no_detect = uniformization({.steady_state_detection = false});
+  no_detect->solve(chain, {0.0, 1.0}, {500.0});
   EXPECT_EQ(stats.iterations + stats.iterations_saved,
-            no_detect.last_stats().iterations);
+            no_detect->last_stats().iterations);
 }
 
 TEST(Uniformization, DetectionNeverFiresWhileTransient) {
   // Short horizon on a slowly mixing chain: the distribution is still
   // moving, detection must not trigger.
   const Ctmc chain = two_state(1.0, 1.0);
-  TransientSolver solver(chain);
-  solver.solve({1.0, 0.0}, {1.0});
-  EXPECT_EQ(solver.last_stats().steady_state_hits, 0u);
-  EXPECT_EQ(solver.last_stats().iterations_saved, 0u);
+  const auto solver = uniformization();
+  solver->solve(chain, {1.0, 0.0}, {1.0});
+  EXPECT_EQ(solver->last_stats().steady_state_hits, 0u);
+  EXPECT_EQ(solver->last_stats().iterations_saved, 0u);
 }
 
 TEST(Uniformization, DetectionOnOffAgreeWithinBudget) {
@@ -218,29 +210,29 @@ TEST(Uniformization, DetectionOnOffAgreeWithinBudget) {
                                       {0.0, 2.0, 0.0}});
   std::vector<double> times;
   for (int i = 1; i <= 40; ++i) times.push_back(2.5 * i);
-  TransientSolver on(chain);
-  TransientSolver off(chain, {.steady_state_detection = false});
-  const auto a = on.solve({1.0, 0.0, 0.0}, times);
-  const auto b = off.solve({1.0, 0.0, 0.0}, times);
+  const auto on = uniformization();
+  const auto off = uniformization({.steady_state_detection = false});
+  const auto a = on->solve(chain, {1.0, 0.0, 0.0}, times);
+  const auto b = off->solve(chain, {1.0, 0.0, 0.0}, times);
   const double budget = 10.0 * 1e-10;  // 10 * default epsilon
   for (std::size_t k = 0; k < times.size(); ++k) {
     EXPECT_LT(linalg::linf_distance(a[k], b[k]), budget) << "t=" << times[k];
   }
-  EXPECT_GT(on.last_stats().iterations_saved, 0u);
+  EXPECT_GT(on->last_stats().iterations_saved, 0u);
 }
 
 TEST(Uniformization, UniformGridComputesExactlyOneWindow) {
   // 1000-point uniform grid: every increment shares one lambda, so the
   // plan cache must compute a single Fox-Glynn window for the whole curve.
   const Ctmc chain = two_state(1.0, 1.0);
-  TransientSolver solver(chain);
+  const auto solver = uniformization();
   std::vector<double> times(1000);
   for (std::size_t i = 0; i < times.size(); ++i) {
     times[i] = 14.0 * static_cast<double>(i + 1);
   }
-  solver.solve({1.0, 0.0}, times);
-  EXPECT_EQ(solver.last_stats().windows_computed, 1u);
-  EXPECT_EQ(solver.last_stats().windows_reused, 999u);
+  solver->solve(chain, {1.0, 0.0}, times);
+  EXPECT_EQ(solver->last_stats().windows_computed, 1u);
+  EXPECT_EQ(solver->last_stats().windows_reused, 999u);
 }
 
 TEST(Uniformization, CompactsToReachableClosure) {
@@ -249,29 +241,29 @@ TEST(Uniformization, CompactsToReachableClosure) {
   const Ctmc chain = ctmc_from_rates({{0.0, 1.0, 0.0},
                                       {2.0, 0.0, 0.0},
                                       {1.0, 1.0, 0.0}});
-  TransientSolver solver(chain);
-  const auto pi = solver.solve({1.0, 0.0, 0.0}, {3.0}).front();
+  const auto solver = uniformization();
+  const auto pi = solver->solve(chain, {1.0, 0.0, 0.0}, {3.0}).front();
   ASSERT_EQ(pi.size(), 3u);
-  EXPECT_EQ(solver.last_stats().active_states, 2u);
+  EXPECT_EQ(solver->last_stats().active_states, 2u);
   EXPECT_EQ(pi[2], 0.0);
   EXPECT_NEAR(pi[0] + pi[1], 1.0, 1e-12);
 }
 
 TEST(Uniformization, ReusableSolverHandlesGrowingSupport) {
-  // A second initial outside the cached closure must transparently rebuild
-  // the compacted machinery (and keep the earlier initials valid).
+  // A second initial outside the first one's closure must transparently
+  // rebuild the compacted machinery (and keep the earlier initials valid).
   const Ctmc chain = ctmc_from_rates({{0.0, 1.0, 0.0},
                                       {2.0, 0.0, 0.0},
                                       {1.0, 1.0, 0.0}});
-  TransientSolver solver(chain);
-  const auto first = solver.solve({1.0, 0.0, 0.0}, {2.0}).front();
-  EXPECT_EQ(solver.last_stats().active_states, 2u);
-  const auto second = solver.solve({0.0, 0.0, 1.0}, {2.0}).front();
-  EXPECT_EQ(solver.last_stats().active_states, 3u);
-  const auto again = solver.solve({1.0, 0.0, 0.0}, {2.0}).front();
+  const auto solver = uniformization();
+  const auto first = solver->solve(chain, {1.0, 0.0, 0.0}, {2.0}).front();
+  EXPECT_EQ(solver->last_stats().active_states, 2u);
+  const auto second = solver->solve(chain, {0.0, 0.0, 1.0}, {2.0}).front();
+  EXPECT_EQ(solver->last_stats().active_states, 3u);
+  const auto again = solver->solve(chain, {1.0, 0.0, 0.0}, {2.0}).front();
   // Cross-check both against one-shot solves.
-  const auto ref_first = transient_distribution(chain, {1.0, 0.0, 0.0}, 2.0);
-  const auto ref_second = transient_distribution(chain, {0.0, 0.0, 1.0}, 2.0);
+  const auto ref_first = transient_at(chain, {1.0, 0.0, 0.0}, 2.0);
+  const auto ref_second = transient_at(chain, {0.0, 0.0, 1.0}, 2.0);
   EXPECT_LT(linalg::linf_distance(first, ref_first), 1e-12);
   EXPECT_LT(linalg::linf_distance(second, ref_second), 1e-12);
   EXPECT_LT(linalg::linf_distance(again, ref_first), 1e-12);
@@ -282,10 +274,9 @@ TEST(Uniformization, ProbabilityVectorStaysNormalised) {
   const Ctmc chain = ctmc_from_rates({{0.0, 5.0, 0.0},
                                       {1.0, 0.0, 4.0},
                                       {0.0, 2.0, 0.0}});
-  TransientSolver solver(chain);
   std::vector<double> times;
   for (int i = 1; i <= 200; ++i) times.push_back(0.5 * i);
-  const auto curves = solver.solve({1.0, 0.0, 0.0}, times);
+  const auto curves = uniformization()->solve(chain, {1.0, 0.0, 0.0}, times);
   for (const auto& pi : curves) {
     EXPECT_NEAR(linalg::sum(pi), 1.0, 1e-12);
   }
@@ -324,13 +315,13 @@ class ScriptedExecutor final : public StepExecutor {
   std::vector<double> deltas_;
 };
 
-// One increment of lambda = 50 through the driver; returns the window it
-// must have used.
+// One increment of lambda = 50 over two loop rows through the driver;
+// returns the window it must have used.
 PoissonWindow run_scripted(ScriptedExecutor& executor, TransientStats& stats) {
-  UniformizationDriver driver({});
-  const std::vector<std::uint32_t> reachable = {0, 1};
-  driver.run(executor, 1.0, reachable, {1.0, 0.0}, {50.0}, nullptr, stats);
-  return fox_glynn(50.0, TransientOptions{}.epsilon);
+  UniformizationDriver driver(kEpsilon, true);
+  std::vector<double> current = {1.0, 0.0};
+  driver.advance(executor, 1.0, current, 50.0, stats);
+  return fox_glynn(50.0, kEpsilon);
 }
 
 TEST(UniformizationDriver, SingleCalmStepDoesNotStop) {
@@ -371,7 +362,7 @@ TEST(UniformizationDriver, DropThresholdFollowsTheWindow) {
   ScriptedExecutor executor({});
   TransientStats stats;
   const PoissonWindow window = run_scripted(executor, stats);
-  const double epsilon = TransientOptions{}.epsilon;
+  const double epsilon = kEpsilon;
   ASSERT_EQ(executor.thresholds.size(), 1u);
   EXPECT_EQ(executor.thresholds[0],
             epsilon / (100.0 * static_cast<double>(window.right) * 2.0));
@@ -433,22 +424,26 @@ TEST(UniformizationDriver, EachIncrementDropsLessThanAHundredthOfEpsilon) {
   std::vector<double> times;
   for (int k = 1; k <= 24; ++k) times.push_back(250.0 * k);
 
-  const TransientOptions options;
   const double rate = UniformizationDriver::select_rate(chain);
   engine::GatherExecutor gather(nullptr);
   gather.bind(engine::build_cached_gather_plan(chain.generator(), rate,
                                                std::vector<std::uint32_t>{0}));
   RecordingExecutor executor(gather);
-  UniformizationDriver driver(options);
-  TransientStats stats;
-  const auto curves = driver.run(executor, rate, reachable, initial, times,
-                                 nullptr, stats);
+  UniformizationDriver driver(kEpsilon, true);
+  engine::BackendStats stats;
+  engine::MarchBuffers buffers;
+  const auto curves = engine::march(
+      chain, initial, times, nullptr, {}, buffers, stats,
+      [&] { return std::span<const std::uint32_t>(reachable); },
+      [&](std::vector<double>& current, double dt) {
+        driver.advance(executor, rate, current, dt, stats);
+      });
 
   ASSERT_EQ(executor.increments.size(), times.size());
   double total = 0.0;
   for (std::size_t k = 0; k < executor.increments.size(); ++k) {
     EXPECT_GT(executor.thresholds[k], 0.0);
-    EXPECT_LE(executor.increments[k].dropped_mass, options.epsilon / 100.0)
+    EXPECT_LE(executor.increments[k].dropped_mass, kEpsilon / 100.0)
         << "increment " << k;
     total += executor.increments[k].dropped_mass;
   }

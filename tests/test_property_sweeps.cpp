@@ -13,8 +13,8 @@
 #include "kibamrm/battery/lifetime.hpp"
 #include "kibamrm/core/approx_solver.hpp"
 #include "kibamrm/core/lifetime_distribution.hpp"
+#include "kibamrm/engine/transient_backend.hpp"
 #include "kibamrm/linalg/vector_ops.hpp"
-#include "kibamrm/markov/uniformization.hpp"
 #include "kibamrm/workload/onoff_model.hpp"
 #include "property/generators.hpp"
 #include "property/propgen.hpp"
@@ -167,9 +167,10 @@ TEST(ApproxStructureTest, ProbabilityMassConservedAlongTheCurve) {
       "MassConservedOnCurve", scenario_gen(), [](const ScenarioCase& value) {
         const auto expanded =
             core::build_expanded_chain(value.model(), value.delta);
-        markov::TransientSolver solver(expanded.chain,
-                                       {.renormalize = false});
-        const auto pis = solver.solve(expanded.initial, value.times);
+        const auto solver =
+            engine::make_backend("uniformization", {.renormalize = false});
+        const auto pis =
+            solver->solve(expanded.chain, expanded.initial, value.times);
         for (std::size_t point = 0; point < pis.size(); ++point) {
           if (std::abs(linalg::sum(pis[point]) - 1.0) > 1e-8) {
             std::ostringstream why;

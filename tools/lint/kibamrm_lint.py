@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """kibamrm-lint: project-invariant checks the generic tools cannot express.
 
-Three checks, each enforcing an invariant the library's correctness
+Four checks, each enforcing an invariant the library's correctness
 story leans on (see README "Static analysis & code health"):
 
   determinism        engine/, linalg/ and markov/ feed solver results;
@@ -26,6 +26,11 @@ story leans on (see README "Static analysis & code health"):
                      and no `catch (...)` that swallows the exception
                      without rethrowing or recording it
                      (std::current_exception).
+
+  layering           linalg/ and markov/ are the layers engine/ and core/
+                     build on; nothing under them may include
+                     kibamrm/engine/ or kibamrm/core/, so a lower layer
+                     never depends on the layers above it.
 
 Suppression: a finding is silenced by an annotation on the same line or
 the line directly above:
@@ -57,12 +62,16 @@ import re
 import sys
 from pathlib import Path
 
-CHECKS = ("determinism", "reduction-contract", "error-discipline")
+CHECKS = ("determinism", "reduction-contract", "error-discipline",
+          "layering")
 
 # Directories (relative to the repo root) whose sources feed results.
 RESULT_PATH_DIRS = ("src/kibamrm/engine", "src/kibamrm/linalg",
                     "src/kibamrm/markov")
 LIBRARY_DIR = "src/kibamrm"
+# Lower layers and the layers above them they must not include.
+LOWER_LAYER_DIRS = ("src/kibamrm/linalg", "src/kibamrm/markov")
+UPPER_LAYERS = ("engine", "core")
 
 ALLOW_RE = re.compile(
     r"//\s*kibamrm-lint:\s*allow\(([a-z-]+)\)\s*(.*)$")
@@ -353,6 +362,31 @@ def refine_throws_with_libclang(repo: Path, path: Path,
         return findings
 
 
+# --------------------------------------------------------------- layering
+
+INCLUDE_DIRECTIVE_RE = re.compile(r"\s*#\s*include\b")
+INCLUDED_LAYER_RE = re.compile(r'\s*#\s*include\s*["<]kibamrm/(\w+)/')
+
+
+def check_layering(path: Path, raw: str, text: str) -> list[Finding]:
+    """Includes of an upper layer in a lower-layer source.  `text` is the
+    stripped source, which says which lines are live directives; the path
+    itself is a string literal, so it is read from `raw`."""
+    findings: list[Finding] = []
+    lines = text.split("\n")
+    for idx, (line, raw_line) in enumerate(zip(lines, raw.split("\n")),
+                                           start=1):
+        if not INCLUDE_DIRECTIVE_RE.match(line):
+            continue
+        m = INCLUDED_LAYER_RE.match(raw_line)
+        if m and m.group(1) in UPPER_LAYERS:
+            suppressed(findings, "layering", lines, path, idx,
+                       f"a lower layer includes kibamrm/{m.group(1)}/; "
+                       f"linalg/ and markov/ must not depend on "
+                       f"{' or '.join(UPPER_LAYERS)}")
+    return findings
+
+
 # ---------------------------------------------------------------- driver
 
 def iter_sources(repo: Path, dirs: tuple[str, ...]):
@@ -384,6 +418,11 @@ def run_checks(repo: Path, selected: set[str]) -> list[Finding]:
                 file_findings = refine_throws_with_libclang(
                     repo, path, file_findings)
             findings.extend(file_findings)
+    if "layering" in selected:
+        for path in iter_sources(repo, LOWER_LAYER_DIRS):
+            raw = path.read_text()
+            findings.extend(check_layering(
+                path, raw, strip_comments_and_strings(raw)))
     return findings
 
 
@@ -404,6 +443,8 @@ def self_test(repo: Path) -> int:
         ("error-discipline", "src/kibamrm/battery/bad_throw.cpp", 8),
         ("error-discipline", "src/kibamrm/core/bad_swallow.cpp", 11),
         ("error-discipline", "src/kibamrm/core/bad_swallow.cpp", 30),
+        ("layering", "src/kibamrm/markov/bad_layering.cpp", 6),
+        ("layering", "src/kibamrm/markov/bad_layering.cpp", 7),
     }
     findings = run_checks(fixtures, set(CHECKS))
     actual = {(f.check, f.path.relative_to(fixtures).as_posix(), f.line)
